@@ -1,20 +1,18 @@
-//! Interpreter wall-clock bench: the reference engine vs the fast
-//! engine (typed register banks + fused superinstructions + parallel
-//! work-groups) vs the compiled engine (SSA pipeline → pre-scheduled
-//! trace code) on functional GEMM launches.
+//! Interpreter wall-clock bench: the reference engine vs the compiled
+//! engine (SSA pipeline → pre-scheduled trace code, parallel
+//! work-groups) on functional GEMM launches.
 //!
-//! Grid: 3 algorithms × 2 precisions × {small, large} NDRange, all
-//! three engines per cell, plus a flagship 1024³ f32 BA case. Full runs
-//! write `BENCH_interp.json` at the repo root with per-case seconds,
-//! fast-vs-reference and compiled-vs-fast speedups.
+//! Grid: 3 algorithms × 2 precisions × {small, large} NDRange, both
+//! engines per cell, plus a flagship 1024³ f32 BA case. Full runs
+//! write `BENCH_interp.json` at the repo root with per-case seconds
+//! and compiled-vs-reference speedups.
 //!
 //! Smoke mode (`CLGEMM_BENCH_SMOKE=1`, used by CI) times the large BA
-//! f32 case once per engine and **exits non-zero** if the fast engine
-//! is slower than the reference interpreter or the compiled engine
-//! falls below a conservative speedup floor over the fast engine — the
-//! regression gates for both accelerated paths. The flagship case only
-//! runs when `CLGEMM_INTERP_FLAGSHIP=1` (it interprets a full 1024³
-//! GEMM on the reference engine).
+//! f32 case once per engine and **exits non-zero** if the compiled
+//! engine falls below a conservative speedup floor over the reference
+//! interpreter — the regression gate for the accelerated path. The
+//! flagship case only runs when `CLGEMM_INTERP_FLAGSHIP=1` (it
+//! interprets a full 1024³ GEMM on the reference engine).
 
 use clgemm::codegen::{generate, KERNEL_NAME};
 use clgemm::params::{small_test_params, Algorithm, KernelParams};
@@ -25,11 +23,12 @@ use clgemm_shim::bench::{fmt_secs, Harness};
 use clgemm_shim::json::Json;
 use std::time::Instant;
 
-/// Smoke-gate floor for compiled over fast on the large BA f32 case.
-/// Measured ≥8× on the development machine; 2× absorbs CI noise while
-/// still catching a compiled path that has degraded to interpretation
-/// speed.
-const COMPILED_VS_FAST_FLOOR: f64 = 2.0;
+/// Smoke-gate floor for compiled over reference on the large BA f32
+/// case. Measured 75–94× on a 2-vCPU AVX-512 host (0.459 s / 4.9 ms in
+/// `BENCH_interp.json`); 20× absorbs CI noise while still catching a
+/// compiled path that has degraded towards interpretation speed or
+/// silently declines the kernel.
+const COMPILED_VS_REFERENCE_FLOOR: f64 = 20.0;
 
 struct Case {
     prog: Program,
@@ -93,7 +92,7 @@ fn launch(case: &mut Case, engine: Engine) -> u64 {
     let opts = ExecOptions {
         engine,
         // Race detection is a validation tool (on by default in tests,
-        // where the engines suite compares all three engines under it);
+        // where the engines suite compares both engines under it);
         // this bench times the engines themselves, so it is off — for
         // every engine alike.
         detect_races: false,
@@ -143,53 +142,43 @@ fn prec_tag(p: Precision) -> &'static str {
 fn engine_tag(e: Engine) -> &'static str {
     match e {
         Engine::Reference => "reference",
-        Engine::Fast => "fast",
         Engine::Compiled => "compiled",
     }
 }
 
-const ENGINES: [Engine; 3] = [Engine::Reference, Engine::Fast, Engine::Compiled];
+const ENGINES: [Engine; 2] = [Engine::Reference, Engine::Compiled];
 
 fn main() {
     let mut h = Harness::from_env();
     let smoke = h.smoke;
 
-    // Smoke mode: the CI regression gates. One launch per engine on the
-    // large BA f32 case; the fast path must not be slower than the
-    // reference, and the compiled path must clear its floor over fast.
+    // Smoke mode: the CI regression gate. One launch per engine on the
+    // large BA f32 case; the compiled path must clear its floor over
+    // the reference.
     if smoke {
         let p = params_for(Algorithm::Ba, Precision::F32);
         let (m, n, k) = (128, 128, 128);
         let mut case = build_case(&p, m, n, k);
         let compiled = time_once(&mut case, Engine::Compiled);
-        let fast = time_once(&mut case, Engine::Fast);
         let reference = time_once(&mut case, Engine::Reference);
         println!(
-            "interp smoke gate (ba_f32 {m}x{n}x{k}): compiled {} / fast {} / reference {} \
-             (fast {:.2}x over reference, compiled {:.2}x over fast)",
+            "interp smoke gate (ba_f32 {m}x{n}x{k}): compiled {} / reference {} \
+             (compiled {:.2}x over reference)",
             fmt_secs(compiled),
-            fmt_secs(fast),
             fmt_secs(reference),
-            reference / fast,
-            fast / compiled
+            reference / compiled
         );
         assert!(
-            fast <= reference,
-            "fast engine ({}) slower than reference ({}) on the large-GEMM case",
-            fmt_secs(fast),
-            fmt_secs(reference)
-        );
-        assert!(
-            fast / compiled >= COMPILED_VS_FAST_FLOOR,
-            "compiled engine ({}) below the {COMPILED_VS_FAST_FLOOR}x floor over fast ({})",
+            reference / compiled >= COMPILED_VS_REFERENCE_FLOOR,
+            "compiled engine ({}) below the {COMPILED_VS_REFERENCE_FLOOR}x floor over reference ({})",
             fmt_secs(compiled),
-            fmt_secs(fast)
+            fmt_secs(reference)
         );
         return;
     }
 
-    // Full grid: 3 algorithms × 2 precisions × {small, large}, all
-    // three engines per cell.
+    // Full grid: 3 algorithms × 2 precisions × {small, large}, both
+    // engines per cell.
     let mut rows: Vec<(String, f64)> = Vec::new();
     for algorithm in Algorithm::ALL {
         for precision in [Precision::F32, Precision::F64] {
@@ -211,10 +200,9 @@ fn main() {
     }
     rows.extend(h.results().iter().cloned());
 
-    // Flagship: 1024³ f32 BA functional launch, one run per engine (the
-    // acceptance case for the compiled engine's ≥10× target over the
-    // fast engine). Gated behind an env var — the reference run
-    // interprets ~10¹⁰ bytecode steps.
+    // Flagship: 1024³ f32 BA functional launch, one run per engine.
+    // Gated behind an env var — the reference run interprets ~10¹⁰
+    // bytecode steps.
     if std::env::var_os("CLGEMM_INTERP_FLAGSHIP").is_some_and(|v| v == "1") {
         let p = params_for(Algorithm::Ba, Precision::F32);
         let (m, n, k) = (1024, 1024, 1024);
@@ -224,24 +212,17 @@ fn main() {
             "interp/flagship_ba_f32_1024_compiled: {}",
             fmt_secs(compiled)
         );
-        let fast = time_once(&mut case, Engine::Fast);
-        println!(
-            "interp/flagship_ba_f32_1024_fast: {} (compiled speedup {:.2}x)",
-            fmt_secs(fast),
-            fast / compiled
-        );
         let reference = time_once(&mut case, Engine::Reference);
         println!(
-            "interp/flagship_ba_f32_1024_reference: {} (fast speedup {:.2}x)",
+            "interp/flagship_ba_f32_1024_reference: {} (compiled speedup {:.2}x)",
             fmt_secs(reference),
-            reference / fast
+            reference / compiled
         );
         rows.push(("interp/flagship_ba_f32_1024_compiled".into(), compiled));
-        rows.push(("interp/flagship_ba_f32_1024_fast".into(), fast));
         rows.push(("interp/flagship_ba_f32_1024_reference".into(), reference));
     }
 
-    // Record results (and pairwise speedups) at the repo root.
+    // Record results (and compiled-vs-reference speedups) at the repo root.
     let mut entries: Vec<Json> = Vec::new();
     for (name, secs) in &rows {
         entries.push(Json::obj(vec![
@@ -250,33 +231,23 @@ fn main() {
         ]));
     }
     let secs_of = |name: &str| rows.iter().find(|(n, _)| n == name).map(|(_, s)| *s);
-    let ratio_rows = |num_suffix: &str, den_suffix: &str| -> Vec<Json> {
-        let mut out = Vec::new();
-        for (name, secs) in &rows {
-            if let Some(base) = name.strip_suffix(num_suffix) {
-                if let Some(den) = secs_of(&format!("{base}{den_suffix}")) {
-                    if *secs > 0.0 {
-                        out.push(Json::obj(vec![
-                            ("case", Json::Str(base.trim_end_matches('_').to_string())),
-                            ("speedup", Json::Num(den / secs)),
-                        ]));
-                    }
+    let mut speedups = Vec::new();
+    for (name, secs) in &rows {
+        if let Some(base) = name.strip_suffix("_compiled") {
+            if let Some(reference) = secs_of(&format!("{base}_reference")) {
+                if *secs > 0.0 {
+                    speedups.push(Json::obj(vec![
+                        ("case", Json::Str(base.to_string())),
+                        ("speedup", Json::Num(reference / secs)),
+                    ]));
                 }
             }
         }
-        out
-    };
+    }
     let doc = Json::obj(vec![
         ("bench", Json::Str("interp".into())),
         ("results", Json::Arr(entries)),
-        (
-            "fast_vs_reference",
-            Json::Arr(ratio_rows("_fast", "_reference")),
-        ),
-        (
-            "compiled_vs_fast",
-            Json::Arr(ratio_rows("_compiled", "_fast")),
-        ),
+        ("compiled_vs_reference", Json::Arr(speedups)),
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_interp.json");
     std::fs::write(path, doc.to_string_compact()).expect("write BENCH_interp.json");

@@ -18,31 +18,47 @@ use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 use crate::GemmType;
 
+/// Validate GEMM operand shapes; returns `(m, n, k)`, or a description
+/// of the first inconsistency.
+///
+/// # Errors
+/// When `op(A)` and `op(B)` disagree on the inner dimension, or `C` is
+/// not `m × n`.
+pub fn try_check_shapes<T: Scalar>(
+    ty: GemmType,
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+    c: &Matrix<T>,
+) -> Result<(usize, usize, usize), String> {
+    let (am, ak) = a.dims_op(ty.ta);
+    let (bk, bn) = b.dims_op(ty.tb);
+    if ak != bk {
+        return Err(format!(
+            "inner dimensions disagree: op(A) is {am}x{ak}, op(B) is {bk}x{bn}"
+        ));
+    }
+    if (c.rows(), c.cols()) != (am, bn) {
+        return Err(format!(
+            "C is {}x{}, expected {am}x{bn}",
+            c.rows(),
+            c.cols()
+        ));
+    }
+    Ok((am, bn, ak))
+}
+
 /// Validate GEMM operand shapes; returns `(m, n, k)`.
 ///
 /// # Panics
-/// Panics with a descriptive message if the shapes are inconsistent —
-/// mirrors the argument checks of the reference BLAS.
+/// Panics with [`try_check_shapes`]'s message if the shapes are
+/// inconsistent — mirrors the argument checks of the reference BLAS.
 pub fn check_shapes<T: Scalar>(
     ty: GemmType,
     a: &Matrix<T>,
     b: &Matrix<T>,
     c: &Matrix<T>,
 ) -> (usize, usize, usize) {
-    let (am, ak) = a.dims_op(ty.ta);
-    let (bk, bn) = b.dims_op(ty.tb);
-    assert_eq!(
-        ak, bk,
-        "inner dimensions disagree: op(A) is {am}x{ak}, op(B) is {bk}x{bn}"
-    );
-    assert_eq!(
-        (c.rows(), c.cols()),
-        (am, bn),
-        "C is {}x{}, expected {am}x{bn}",
-        c.rows(),
-        c.cols()
-    );
-    (am, bn, ak)
+    try_check_shapes(ty, a, b, c).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Textbook triple-loop GEMM. `O(MNK)` with no blocking; the slowest and

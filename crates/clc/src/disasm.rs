@@ -149,48 +149,6 @@ pub fn disassemble(k: &CompiledKernel) -> String {
     out
 }
 
-/// Disassemble a kernel's fast-engine plan: typed bank sizes, fused
-/// superinstruction count, and one typed op per line. Returns `None`
-/// when the kernel did not specialise (it runs on the reference
-/// interpreter instead).
-#[must_use]
-pub fn disassemble_fast(k: &CompiledKernel) -> Option<String> {
-    use crate::fastvm::FOp;
-    let fk = k.fast.as_ref()?;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "fast plan {} ({} ops, {} fused; banks: {} i64, {} f32, {} f64, {} v32 lanes, {} v64 lanes)",
-        k.name,
-        fk.op_count(),
-        fk.fused_count(),
-        fk.n_int,
-        fk.n_f32,
-        fk.n_f64,
-        fk.v32_lanes,
-        fk.v64_lanes,
-    );
-    for (pc, op) in fk.ops.iter().enumerate() {
-        let fused = matches!(
-            op,
-            FOp::CmpJzI { .. }
-                | FOp::CmpJz32 { .. }
-                | FOp::CmpJz64 { .. }
-                | FOp::IConstCmpJz { .. }
-                | FOp::IConstBin { .. }
-                | FOp::MulAdd32 { .. }
-                | FOp::MulAdd64 { .. }
-                | FOp::VMulAdd32 { .. }
-                | FOp::VMulAdd64 { .. }
-                | FOp::LdG32To64 { .. }
-                | FOp::LdG64To32 { .. }
-        );
-        let mark = if fused { "*" } else { " " };
-        let _ = writeln!(out, "  {pc:>4} {mark} {op:?}");
-    }
-    Some(out)
-}
-
 /// Disassemble the compiled-engine artefacts for a kernel: the
 /// optimised SSA function followed by the pre-scheduled trace plan,
 /// exactly as `Engine::Compiled` will execute it. This is the text the
@@ -198,7 +156,7 @@ pub fn disassemble_fast(k: &CompiledKernel) -> Option<String> {
 ///
 /// # Errors
 /// The IR pipeline's decline reason when it rejects the kernel (such
-/// kernels run on the fast VM instead).
+/// kernels run on the reference interpreter instead).
 pub fn disassemble_ir(k: &CompiledKernel) -> Result<String, String> {
     let (f, plan) = crate::ir::compile_parts(k)?;
     let mut out = String::new();
@@ -284,25 +242,6 @@ mod tests {
         assert!(d.contains("barrier #0"));
         assert!(d.contains("lstore1"));
         assert!(d.contains("lload1"));
-    }
-
-    #[test]
-    fn fast_plan_disassembly_marks_fused_ops() {
-        let k = compile(
-            r#"__kernel void k(__global const float* a, __global float* c, int n) {
-                int i = get_global_id(0);
-                float acc = 0.0f;
-                for (int j = 0; j < n; j = j + 1) {
-                    acc = acc + a[i*n + j] * a[i*n + j];
-                }
-                c[i] = acc;
-            }"#,
-        );
-        let d = disassemble_fast(&k).expect("kernel should specialise");
-        assert!(d.starts_with("fast plan k ("), "{d}");
-        assert!(d.contains("fused"), "{d}");
-        // At least one fused op, rendered with the `*` marker.
-        assert!(d.lines().any(|l| l.contains(" * ")), "{d}");
     }
 
     #[test]

@@ -22,8 +22,8 @@
 
 use super::trace::{BOp, BSeed, BTerm, Bank, BoundTrace, TracePlan, PK};
 use crate::error::RuntimeError;
-use crate::fastvm::{g_race_r, g_race_w, l_check, l_race_r, l_race_w, SharedBufs};
 use crate::lower::CompiledKernel;
+use crate::shared::{g_race_r, g_race_w, l_check, l_race_r, l_race_w, SharedBufs};
 use crate::vm::{
     BufData, DynStats, ExecOptions, Geometry, GlobalRaceTables, LocalBuf, RaceTable, Value,
 };
@@ -125,9 +125,9 @@ struct Ctx<'a> {
     grace: Option<&'a GlobalRaceTables>,
 }
 
-/// Run the whole NDRange on a compiled plan, groups in parallel.
-/// Mirrors `fastvm::launch`: contiguous group ranges per worker, a
-/// private arena per worker, range-ordered stats merge.
+/// Run the whole NDRange on a compiled plan, groups in parallel:
+/// contiguous group ranges per worker, a private arena per worker,
+/// range-ordered stats merge.
 pub(crate) fn launch(
     kernel: &CompiledKernel,
     plan: &TracePlan,

@@ -1,8 +1,8 @@
 //! A typed SSA compiler pipeline over the clc register bytecode.
 //!
-//! The interpreters ([`crate::vm`], [`crate::fastvm`]) decode one
-//! instruction per work-item per step; for the generated GEMM kernels
-//! that dispatch overhead dwarfs the arithmetic. This module compiles
+//! The reference interpreter ([`crate::vm`]) decodes one instruction
+//! per work-item per step; for the generated GEMM kernels that
+//! dispatch overhead dwarfs the arithmetic. This module compiles
 //! the bytecode into **pre-scheduled trace code** executed by
 //! [`crate::vm::Engine::Compiled`]:
 //!
@@ -31,8 +31,8 @@
 //!
 //! The compiler declines kernels whose branch conditions diverge
 //! across work-items (and a few rarities like non-constant
-//! `get_global_id` dimensions); those fall back to the fast VM, and
-//! the reference interpreter remains the bit-for-bit oracle.
+//! `get_global_id` dimensions); those fall back to the reference
+//! interpreter, which remains the bit-for-bit oracle.
 
 pub mod build;
 pub(crate) mod engine;
@@ -301,7 +301,8 @@ pub struct CompileStats {
 }
 
 /// Compile a lowered kernel to a trace plan, or explain why the
-/// compiler declines it (the caller then falls back to the fast VM).
+/// compiler declines it (the caller then falls back to the reference
+/// interpreter).
 ///
 /// # Errors
 /// A human-readable decline reason; declining is not a failure mode,

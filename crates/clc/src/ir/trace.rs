@@ -15,9 +15,9 @@
 //! definition; splats of constants and entry parameters cost nothing
 //! at runtime — they become group-reset seeds). Branch conditions must
 //! be uniform; a kernel with a work-item-divergent branch is declined
-//! and falls back to the fast VM. Memory ops always execute per
-//! work-item so bounds checks and race recording match the reference
-//! interpreter access-for-access.
+//! and falls back to the reference interpreter. Memory ops always
+//! execute per work-item so bounds checks and race recording match the
+//! reference interpreter access-for-access.
 //!
 //! Slots live in three per-group banks (`i64`/`f32`/`f64`), grouped by
 //! (storage shape, uniformity). A varying slot is `nwi × lanes`

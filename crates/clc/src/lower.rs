@@ -130,24 +130,20 @@ pub struct CompiledKernel {
     pub checked: CheckedKernel,
     /// Instruction positions for runtime diagnostics.
     pub positions: Vec<Pos>,
-    /// Typed/fused plan for the fast engine, when the register-class
-    /// assignment pass types every register; `None` falls back to the
-    /// reference interpreter.
-    pub fast: Option<crate::fastvm::FastKernel>,
     /// Pre-scheduled trace plan from the SSA compiler pipeline, for the
     /// default [`crate::vm::Engine::Compiled`]; `None` falls back to
-    /// the fast engine.
+    /// the reference interpreter.
     pub trace: Option<crate::ir::trace::TracePlan>,
     /// Why the trace compiler declined this kernel, when it did.
     pub trace_decline: Option<String>,
 }
 
 /// Static storage class of a virtual register, assigned at compile time
-/// so the fast engine can keep registers in typed per-class banks and
-/// never match on [`Value`] variants in its inner loop. Booleans live in
-/// the integer bank as 0/1 — every reference-interpreter coercion
-/// (`as_b`, bool→float converts, bool comparisons) is value-identical
-/// under that encoding.
+/// so the compiled engine can keep registers in typed per-class banks
+/// and never match on [`Value`] variants in its inner loop. Booleans
+/// live in the integer bank as 0/1 — every reference-interpreter
+/// coercion (`as_b`, bool→float converts, bool comparisons) is
+/// value-identical under that encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegClass {
     /// `i64` scalars and bools.
@@ -162,9 +158,10 @@ pub enum RegClass {
 
 /// Infer one storage class per register by forward dataflow over the
 /// bytecode, seeded from value-parameter types. Returns `None` when any
-/// register would need two classes (the fast engine then falls back to
-/// the reference interpreter). Registers never written keep the
-/// reference interpreter's implicit `I(0)` and class `Int`.
+/// register would need two classes (the compiled engine then declines
+/// the kernel and it runs on the reference interpreter). Registers
+/// never written keep the reference interpreter's implicit `I(0)` and
+/// class `Int`.
 #[must_use]
 pub fn assign_classes(k: &CompiledKernel) -> Option<Vec<RegClass>> {
     let mut cls: Vec<Option<RegClass>> = vec![None; k.n_regs];
@@ -217,9 +214,9 @@ pub fn assign_classes(k: &CompiledKernel) -> Option<Vec<RegClass>> {
 /// The class an instruction's destination takes, given (possibly still
 /// unknown) operand classes. `None` means "no destination", "operands
 /// not yet classified", or "statically ill-typed" — the last is fine
-/// here because the fast engine's specialiser re-validates every
-/// operand and refuses ill-typed code (which the reference interpreter
-/// then rejects at runtime, keeping both paths' behaviour identical).
+/// here because the trace compiler re-validates every operand and
+/// declines ill-typed code (which the reference interpreter then
+/// rejects at runtime, keeping both paths' behaviour identical).
 fn dst_class(ins: &Instr, cls: &[Option<RegClass>], ck: &CheckedKernel) -> Option<(Reg, RegClass)> {
     use RegClass as C;
     let mem_class = |base: Base, width: u8| -> Option<C> {
@@ -355,11 +352,9 @@ fn lower_kernel(ck: &CheckedKernel) -> Result<CompiledKernel, CompileError> {
         code: lw.code,
         positions: lw.positions,
         checked: ck.clone(),
-        fast: None,
         trace: None,
         trace_decline: None,
     };
-    k.fast = crate::fastvm::specialize(&k);
     match crate::ir::compile(&k) {
         Ok(plan) => k.trace = Some(plan),
         Err(reason) => k.trace_decline = Some(reason),

@@ -42,17 +42,16 @@ fn engine_override() -> Option<Engine> {
     static OVERRIDE: std::sync::OnceLock<Option<Engine>> = std::sync::OnceLock::new();
     *OVERRIDE.get_or_init(|| match std::env::var("CLGEMM_CLC_ENGINE").ok()?.as_str() {
         "reference" => Some(Engine::Reference),
-        "fast" => Some(Engine::Fast),
         "compiled" => Some(Engine::Compiled),
         _ => None,
     })
 }
 
-/// Bridge one launch's [`DynStats`] (and, on the fast path, the plan's
-/// fusion outcome) into the global metrics registry. Every counter is
-/// created at the point of first non-zero use so a workload that never
-/// hits a barrier (say) does not register a dead `vm_barriers_total`.
-fn record_launch_metrics(stats: &DynStats, engine: &str, fast: Option<&crate::fastvm::FastKernel>) {
+/// Bridge one launch's [`DynStats`] into the global metrics registry.
+/// Every counter is created at the point of first non-zero use so a
+/// workload that never hits a barrier (say) does not register a dead
+/// `vm_barriers_total`.
+fn record_launch_metrics(stats: &DynStats, engine: &str) {
     if !clgemm_trace::enabled() {
         return;
     }
@@ -67,19 +66,6 @@ fn record_launch_metrics(stats: &DynStats, engine: &str, fast: Option<&crate::fa
     ] {
         if v > 0 {
             reg.counter(name).add(v);
-        }
-    }
-    if let Some(fk) = fast {
-        let ops = reg.counter("vm_plan_ops_total");
-        let fused = reg.counter("vm_fused_ops_total");
-        ops.add(fk.op_count() as u64);
-        fused.add(fk.fused_count() as u64);
-        let total = ops.get();
-        if total > 0 {
-            // Cumulative fraction of plan ops covered by fused
-            // superinstructions across all fast launches so far.
-            reg.gauge("vm_fusion_ratio")
-                .set(fused.get() as f64 / total as f64);
         }
     }
 }
@@ -215,18 +201,16 @@ impl<'a> Kernel<'a> {
     }
 
     /// Execute the kernel over the NDRange. With the default
-    /// [`Engine::Compiled`] the work-groups run pre-scheduled trace
-    /// code from the SSA compiler pipeline (falling back to the fast
-    /// plan for declined kernels); [`Engine::Fast`] runs the typed
-    /// per-work-item plan (falling back to the reference interpreter
-    /// when the kernel did not specialise); [`Engine::Reference`] runs
-    /// groups sequentially through the original interpreter. All
+    /// [`Engine::Compiled`] the work-groups run in parallel on
+    /// pre-scheduled trace code from the SSA compiler pipeline; kernels
+    /// the compiler declined, and [`Engine::Reference`] launches, run
+    /// groups sequentially through the reference interpreter. Both
     /// engines produce bit-identical buffers and stats. Work-items
     /// within a group always run with true barrier semantics.
     ///
-    /// The `CLGEMM_CLC_ENGINE=reference|fast|compiled` environment
-    /// variable overrides the requested engine process-wide (probed
-    /// once, like `CLGEMM_SIMD`); unknown values are ignored.
+    /// The `CLGEMM_CLC_ENGINE=reference|compiled` environment variable
+    /// overrides the requested engine process-wide (probed once, like
+    /// `CLGEMM_SIMD`); unknown values are ignored.
     ///
     /// # Errors
     /// Compile-quality argument/NDRange errors and all VM runtime errors
@@ -255,27 +239,15 @@ impl<'a> Kernel<'a> {
             groups: [nd.global[0] / nd.local[0], nd.global[1] / nd.local[1]],
         };
         let requested = engine_override().unwrap_or(opts.engine);
-        if requested == Engine::Compiled {
+        let engine = if requested == Engine::Compiled {
             if let Some(plan) = &self.inner.trace {
                 let r = crate::ir::engine::launch(self.inner, plan, &geom, &init_regs, bufs, opts);
                 if let Ok(stats) = &r {
-                    record_launch_metrics(stats, "compiled", None);
+                    record_launch_metrics(stats, "compiled");
                 }
                 return r;
             }
-        }
-        if requested != Engine::Reference {
-            if let Some(fk) = &self.inner.fast {
-                let r = crate::fastvm::launch(self.inner, fk, &geom, &init_regs, bufs, opts);
-                if let Ok(stats) = &r {
-                    record_launch_metrics(stats, "fast", Some(fk));
-                }
-                return r;
-            }
-        }
-        let engine = if requested != Engine::Reference {
-            // A faster engine was requested but the kernel neither
-            // compiled nor specialised.
+            // The compiled engine was requested but declined the kernel.
             "fallback"
         } else {
             "reference"
@@ -301,7 +273,7 @@ impl<'a> Kernel<'a> {
                 stats.add(&s);
             }
         }
-        record_launch_metrics(&stats, engine, None);
+        record_launch_metrics(&stats, engine);
         Ok(stats)
     }
 
@@ -702,5 +674,169 @@ mod tests {
             )
             .unwrap();
         assert_eq!(stats.barriers, 4); // one per work-group, 4 groups
+    }
+
+    // --- compiled engine vs the reference interpreter -------------------
+
+    const GEMM_SRC: &str = r#"
+        __kernel void gemm(__global const float* a, __global const float* b,
+                           __global float* c, int n) {
+            int i = get_global_id(0);
+            int j = get_global_id(1);
+            float acc = 0.0f;
+            for (int k = 0; k < n; k = k + 1) {
+                acc = acc + a[i*n + k] * b[k*n + j];
+            }
+            c[i*n + j] = acc;
+        }
+    "#;
+
+    type EngineRun = (Result<DynStats, RuntimeError>, Vec<BufData>);
+
+    /// Launch `name` on the default (compiled) engine and on the
+    /// reference interpreter, each on its own copy of `bufs`.
+    fn run_both(
+        src: &str,
+        name: &str,
+        nd: NdRange,
+        args: &[Arg],
+        bufs: &[BufData],
+    ) -> (EngineRun, EngineRun) {
+        let p = Program::compile(src).unwrap();
+        let k = p.kernel(name).unwrap();
+        let mut compiled_bufs = bufs.to_vec();
+        let compiled = k.launch(nd, args, &mut compiled_bufs, &ExecOptions::default());
+        let mut ref_bufs = bufs.to_vec();
+        let reference = k.launch(nd, args, &mut ref_bufs, &ExecOptions::reference());
+        ((compiled, compiled_bufs), (reference, ref_bufs))
+    }
+
+    #[test]
+    fn compiled_and_reference_agree_on_gemm() {
+        let n = 8usize;
+        let a: Vec<f32> = (0..n * n).map(|i| (i as f32) * 0.25 - 3.0).collect();
+        let b: Vec<f32> = (0..n * n).map(|i| 1.0 / (i as f32 + 1.0)).collect();
+        let bufs = vec![
+            BufData::F32(a),
+            BufData::F32(b),
+            BufData::F32(vec![0.0; n * n]),
+        ];
+        let args = [Arg::Buf(0), Arg::Buf(1), Arg::Buf(2), Arg::I32(n as i32)];
+        let ((compiled, cb), (reference, rb)) =
+            run_both(GEMM_SRC, "gemm", NdRange::d2([n, n], [4, 2]), &args, &bufs);
+        assert_eq!(compiled.unwrap(), reference.unwrap(), "DynStats must match");
+        assert_eq!(cb, rb, "output buffers must be bit-identical");
+    }
+
+    #[test]
+    fn compiled_and_reference_agree_with_locals_and_barriers() {
+        let src = r#"
+            __kernel void share(__global const double* x, __global double* y, double s) {
+                __local double buf[4];
+                int l = get_local_id(0);
+                int g = get_global_id(0);
+                buf[l] = x[g] * s;
+                barrier(1);
+                y[g] = buf[3 - l] + fabs(x[g]);
+            }
+        "#;
+        let bufs = vec![
+            BufData::F64(vec![-1.5, 2.0, 3.25, -4.0, 5.0, 6.5, -7.0, 8.0]),
+            BufData::F64(vec![0.0; 8]),
+        ];
+        let args = [Arg::Buf(0), Arg::Buf(1), Arg::F64(1.75)];
+        let ((compiled, cb), (reference, rb)) =
+            run_both(src, "share", NdRange::d1(8, 4), &args, &bufs);
+        assert_eq!(compiled.unwrap(), reference.unwrap());
+        assert_eq!(cb, rb);
+    }
+
+    #[test]
+    fn barrier_divergence_fails_identically() {
+        let src = r#"
+            __kernel void div(__global double* y) {
+                int l = get_local_id(0);
+                if (l == 0) { barrier(1); }
+                y[get_global_id(0)] = (double)l;
+            }
+        "#;
+        let bufs = vec![BufData::F64(vec![0.0; 4])];
+        let ((compiled, _), (reference, _)) =
+            run_both(src, "div", NdRange::d1(4, 4), &[Arg::Buf(0)], &bufs);
+        let (ce, re) = (compiled.unwrap_err(), reference.unwrap_err());
+        assert!(matches!(ce, RuntimeError::BarrierDivergence { .. }), "{ce}");
+        assert_eq!(ce.to_string(), re.to_string());
+    }
+
+    #[test]
+    fn step_limit_fails_identically() {
+        let src = r#"
+            __kernel void spin(__global double* y) {
+                int i = 0;
+                while (i < 10) { i = i * 0; }
+                y[0] = (double)i;
+            }
+        "#;
+        let p = Program::compile(src).unwrap();
+        let k = p.kernel("spin").unwrap();
+        let tight = |engine| ExecOptions {
+            step_limit: 1000,
+            engine,
+            ..Default::default()
+        };
+        let mut bufs = vec![BufData::F64(vec![0.0])];
+        let ce = k
+            .launch(
+                NdRange::d1(1, 1),
+                &[Arg::Buf(0)],
+                &mut bufs,
+                &tight(Engine::Compiled),
+            )
+            .unwrap_err();
+        let re = k
+            .launch(
+                NdRange::d1(1, 1),
+                &[Arg::Buf(0)],
+                &mut bufs,
+                &tight(Engine::Reference),
+            )
+            .unwrap_err();
+        assert!(ce.to_string().contains("step limit"), "{ce}");
+        assert_eq!(ce.to_string(), re.to_string());
+    }
+
+    #[test]
+    fn inter_group_write_race_detected_on_both_engines() {
+        let src = r#"
+            __kernel void clash(__global double* y) {
+                y[0] = (double)get_global_id(0);
+            }
+        "#;
+        let bufs = vec![BufData::F64(vec![0.0])];
+        let ((compiled, _), (reference, _)) =
+            run_both(src, "clash", NdRange::d1(4, 1), &[Arg::Buf(0)], &bufs);
+        let ce = compiled.unwrap_err();
+        let re = reference.unwrap_err();
+        assert!(matches!(ce, RuntimeError::GlobalRace { .. }), "{ce}");
+        assert!(matches!(re, RuntimeError::GlobalRace { .. }), "{re}");
+    }
+
+    #[test]
+    fn vector_kernel_agrees_across_engines() {
+        let src = r#"
+            __kernel void vscale(__global const float* x, __global float* y, float s) {
+                int i = get_global_id(0);
+                float4 v = vload4(i, x);
+                float4 w = v * s + v;
+                vstore4(w, i, y);
+            }
+        "#;
+        let x: Vec<f32> = (0..32).map(|i| (i as f32) * 0.5 - 4.0).collect();
+        let bufs = vec![BufData::F32(x), BufData::F32(vec![0.0; 32])];
+        let args = [Arg::Buf(0), Arg::Buf(1), Arg::F32(0.125)];
+        let ((compiled, cb), (reference, rb)) =
+            run_both(src, "vscale", NdRange::d1(8, 2), &args, &bufs);
+        assert_eq!(compiled.unwrap(), reference.unwrap());
+        assert_eq!(cb, rb);
     }
 }

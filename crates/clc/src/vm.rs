@@ -195,23 +195,18 @@ pub struct Geometry {
     pub groups: [usize; 2],
 }
 
-/// Which interpreter executes a launch.
+/// Which engine executes a launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// Pre-scheduled trace code from the SSA compiler pipeline (see
-    /// the `ir` module): per-op dispatch is paid once per work-group
-    /// instead of once per work-item step. Falls back to [`Engine::Fast`]
-    /// for kernels the compiler declines (e.g. work-item-divergent
-    /// branches).
+    /// the `ir` module), with work-groups run in parallel: per-op
+    /// dispatch is paid once per work-group instead of once per
+    /// work-item step. Kernels the compiler declines (e.g.
+    /// work-item-divergent branches) run on the reference interpreter.
     #[default]
     Compiled,
-    /// Typed-register-bank engine with fused superinstructions and
-    /// parallel work-group execution (see the `fastvm` module). Falls
-    /// back to the reference interpreter for kernels the register-class
-    /// assignment pass cannot type.
-    Fast,
     /// The original one-`Value`-at-a-time interpreter: the bit-for-bit
-    /// oracle the fast path is property-tested against.
+    /// oracle the compiled engine is property-tested against.
     Reference,
 }
 
@@ -243,7 +238,7 @@ impl Default for ExecOptions {
 
 impl ExecOptions {
     /// Default options, but forcing the reference interpreter — the
-    /// escape hatch when the fast path is in doubt.
+    /// escape hatch when the compiled engine is in doubt.
     #[must_use]
     pub fn reference() -> Self {
         ExecOptions {
@@ -253,7 +248,7 @@ impl ExecOptions {
     }
 }
 
-pub(crate) enum WiStop {
+enum WiStop {
     Barrier(u32),
     Done,
 }

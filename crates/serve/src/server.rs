@@ -20,6 +20,7 @@ use clgemm::repo::KernelRepo;
 use clgemm::routine::{GemmOptions, GemmRun, TunedGemm};
 use clgemm::tuner::{tune, Measurement, SearchOpts, SearchSpace};
 use clgemm::tuning_db::{DbKey, TuningDb, DB_ENV};
+use clgemm_blas::gemm_ref::try_check_shapes;
 use clgemm_blas::layout::round_up;
 use clgemm_blas::scalar::Precision;
 use clgemm_blas::workspace::{BatchWorkspace, Workspace};
@@ -129,6 +130,11 @@ pub enum RejectReason {
     /// request is `Priority::Low` — bulk work is shed first so the
     /// remaining headroom serves interactive traffic.
     Overloaded(Box<GemmRequest>),
+    /// The operand shapes are inconsistent (say `op(A)` is 16×8 and
+    /// `op(B)` 16×16). Rejected at submit so the malformed request can
+    /// never reach a drain, where it would abort the batch it shares
+    /// with valid work. Carries the request and the shape error.
+    Invalid(Box<GemmRequest>, String),
 }
 
 /// Bits of an `f64` in an `AtomicU64` — the submit path is lock-free,
@@ -243,6 +249,15 @@ struct Shared {
 
 impl Shared {
     fn submit(&self, req: GemmRequest) -> Result<RequestId, RejectReason> {
+        // --- validation: a malformed request never reaches a drain -----
+        let shape = match &req.payload {
+            GemmPayload::F64 { a, b, c, .. } => try_check_shapes(req.ty, a, b, c),
+            GemmPayload::F32 { a, b, c, .. } => try_check_shapes(req.ty, a, b, c),
+        };
+        if let Err(why) = shape {
+            self.stats.note_shed(&req.tenant, "invalid");
+            return Err(RejectReason::Invalid(Box::new(req), why));
+        }
         // --- admission control: shed before queueing, not after -------
         let est = self.admission.estimate_seconds(req.payload.flops(req.ty));
         if let Some(deadline) = req.deadline {
@@ -1432,6 +1447,66 @@ mod tests {
         }
         assert_eq!(server.stats().rejected_queue_full, 1);
         assert_eq!(server.stats().enqueued, 2);
+    }
+
+    #[test]
+    fn malformed_request_is_rejected_and_its_neighbour_still_served() {
+        let mut server = two_device_server(ServeConfig::default());
+        // op(A) is 16x8 but op(B) is 16x16: the inner dimensions disagree.
+        let bad = GemmRequest::new(
+            GemmType::NN,
+            GemmPayload::F64 {
+                alpha: 1.0,
+                a: Matrix::test_pattern(16, 8, StorageOrder::ColMajor, 1),
+                b: Matrix::test_pattern(16, 16, StorageOrder::ColMajor, 2),
+                beta: 0.0,
+                c: Matrix::zeros(16, 16, StorageOrder::ColMajor),
+            },
+        );
+        match server.submit(bad) {
+            Err(RejectReason::Invalid(req, why)) => {
+                assert!(why.contains("inner dimensions disagree"), "{why}");
+                // The rejected request comes back intact.
+                assert_eq!(req.payload.dims(GemmType::NN), (16, 16, 8));
+            }
+            other => panic!("a malformed request must bounce with Invalid: {other:?}"),
+        }
+        let good = request(48, 5);
+        server.submit(good.clone()).unwrap();
+        assert_eq!(server.drain(), 1);
+        let stats = server.stats();
+        assert_eq!(stats.enqueued, 1, "the malformed request is never queued");
+        assert_eq!(stats.completed, 1);
+        let served = server.take_responses().pop().unwrap();
+        assert_eq!(served.outcome, Outcome::Completed);
+        // Replaying the served parameters out of band reproduces C.
+        let GemmPayload::F64 {
+            alpha,
+            a,
+            b,
+            beta,
+            mut c,
+        } = good.payload
+        else {
+            panic!("wrong precision")
+        };
+        tuned_for(&DeviceId::Tahiti.spec(), Precision::F64, served.params).gemm_with(
+            GemmType::NN,
+            alpha,
+            &a,
+            &b,
+            beta,
+            &mut c,
+            &mut Workspace::new(),
+            &GemmOptions::default(),
+        );
+        let bits = |m: &Matrix<f64>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        match &served.payload {
+            GemmPayload::F64 { c: got, .. } => {
+                assert_eq!(bits(got), bits(&c), "served C must match gemm_with");
+            }
+            GemmPayload::F32 { .. } => panic!("wrong precision"),
+        }
     }
 
     #[test]

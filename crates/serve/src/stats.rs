@@ -349,7 +349,8 @@ impl ServerStats {
     }
 
     /// Record a request shed at submit for `tenant`, tagged with the
-    /// shed `reason` (`deadline`, `low_priority`, `queue_full`).
+    /// shed `reason` (`invalid`, `deadline`, `low_priority`,
+    /// `queue_full`).
     pub fn note_shed(&self, tenant: &str, reason: &str) {
         self.per_tenant
             .lock()

@@ -110,6 +110,7 @@ fn main() {
                     shed_at_admission += 1; // admission control did its job
                 }
                 Err(RejectReason::QueueFull(_)) => break, // backpressure: drain and retry
+                Err(RejectReason::Invalid(_, why)) => panic!("malformed request: {why}"),
             }
         }
         server.drain();

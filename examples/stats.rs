@@ -241,7 +241,7 @@ fn main() {
 
     // ---- tuner + VM layers ---------------------------------------------
     // A smoke-sized search with winner verification: the verify step
-    // compiles the winning kernel and runs it through the fast VM, so
+    // compiles the winning kernel and runs it on the compiled engine, so
     // one call exercises the tuner counters AND the vm_* bridge.
     let space = SearchSpace::smoke(&device);
     let opts = SearchOpts {

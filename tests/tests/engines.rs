@@ -1,17 +1,18 @@
-//! Engine-equivalence property tests: the fast VM (typed register
-//! banks, fused superinstructions, parallel work-groups) and the
-//! compiled engine (SSA pipeline → pre-scheduled trace code) must both
-//! be indistinguishable from the reference interpreter — bit-identical
+//! Engine-equivalence property tests: the compiled engine (SSA
+//! pipeline → pre-scheduled trace code, parallel work-groups) must be
+//! indistinguishable from the reference interpreter — bit-identical
 //! output buffers and equal `DynStats` on every generated kernel, and
 //! identical failure classes on kernels that must fail testing. A
 //! separate decline-list test pins down exactly which kernel shapes the
-//! trace compiler refuses (they fall back to the fast VM) and checks
-//! the fallback still matches the reference.
+//! trace compiler refuses (they fall back to the reference interpreter)
+//! and checks the fallback still matches the reference, and every
+//! Table II winner must be accepted by the trace compiler.
 //!
 //! Cases come from a seeded [`clgemm_shim::Rng`], so failures reproduce
 //! deterministically.
 
 use clgemm::codegen::{generate, KERNEL_NAME};
+use clgemm::paper_params::all_winners;
 use clgemm::params::{Algorithm, KernelParams, StrideMode};
 use clgemm_blas::layout::{BlockLayout, PackedDims};
 use clgemm_blas::scalar::Precision;
@@ -98,11 +99,10 @@ fn fill(rng: &mut Rng, len: usize, prec: Precision) -> BufData {
     }
 }
 
-/// All three engines on one generated kernel; panics on any
-/// divergence. Returns whether the kernel took the specialised fast
-/// plan and whether the trace compiler accepted it.
-fn check_case(case: usize, rng: &mut Rng, p: &KernelParams) -> (bool, bool) {
-    // Two blocks per dimension so several work-groups run (the fast
+/// Compiled engine vs reference on one generated kernel; panics on any
+/// divergence. Returns whether the trace compiler accepted the kernel.
+fn check_case(case: usize, rng: &mut Rng, p: &KernelParams) -> bool {
+    // Two blocks per dimension so several work-groups run (the compiled
     // engine parallelises across them) and k covers two KWG tiles.
     let (m, n) = (2 * p.mwg, 2 * p.nwg);
     let k = 2 * p.k_multiple();
@@ -144,63 +144,73 @@ fn check_case(case: usize, rng: &mut Rng, p: &KernelParams) -> (bool, bool) {
         .launch(nd, &args, &mut ref_bufs, &ExecOptions::reference())
         .unwrap_or_else(|e| panic!("case {case}: reference launch: {e}\n{}", p.describe()));
 
-    for engine in [Engine::Fast, Engine::Compiled] {
-        let opts = ExecOptions {
-            engine,
-            ..Default::default()
-        };
-        let mut eng_bufs = bufs.clone();
-        let stats = kernel
-            .launch(nd, &args, &mut eng_bufs, &opts)
-            .unwrap_or_else(|e| panic!("case {case}: {engine:?} launch: {e}\n{}", p.describe()));
+    let mut eng_bufs = bufs.clone();
+    let stats = kernel
+        .launch(nd, &args, &mut eng_bufs, &ExecOptions::default())
+        .unwrap_or_else(|e| panic!("case {case}: compiled launch: {e}\n{}", p.describe()));
+    assert_eq!(
+        stats,
+        reference,
+        "case {case}: compiled DynStats diverged\n{}",
+        p.describe()
+    );
+    for (i, (eb, rb)) in eng_bufs.iter().zip(&ref_bufs).enumerate() {
         assert_eq!(
-            stats,
-            reference,
-            "case {case}: {engine:?} DynStats diverged\n{}",
+            bits(eb),
+            bits(rb),
+            "case {case}: compiled buffer {i} not bit-identical\n{}",
             p.describe()
         );
-        for (i, (eb, rb)) in eng_bufs.iter().zip(&ref_bufs).enumerate() {
-            assert_eq!(
-                bits(eb),
-                bits(rb),
-                "case {case}: {engine:?} buffer {i} not bit-identical\n{}",
-                p.describe()
-            );
-        }
     }
-    let ck = kernel.compiled();
-    (ck.fast.is_some(), ck.trace.is_some())
+    kernel.compiled().trace.is_some()
 }
 
-/// ≥200 random parameter sets: identical buffers and stats across all
-/// three engines, and every generated kernel must actually take both
-/// accelerated plans (a silent fallback would make the equivalence
-/// test vacuous).
+/// ≥200 random parameter sets: identical buffers and stats on the
+/// compiled engine and the reference, and every generated kernel must
+/// actually take the compiled plan (a silent fallback would make the
+/// equivalence test vacuous).
 #[test]
 fn engines_agree_on_random_params() {
     let mut rng = Rng::new(0xFA57_E9E5);
     let cases = 200;
-    let (mut specialized, mut traced) = (0usize, 0usize);
+    let mut traced = 0usize;
     for case in 0..cases {
         let p = valid_params(&mut rng);
-        let (fast, compiled) = check_case(case, &mut rng, &p);
-        specialized += usize::from(fast);
-        traced += usize::from(compiled);
+        traced += usize::from(check_case(case, &mut rng, &p));
     }
-    assert_eq!(
-        specialized, cases,
-        "every generated kernel should specialise onto the fast plan"
-    );
     assert_eq!(
         traced, cases,
         "every generated kernel should be accepted by the trace compiler"
     );
 }
 
+/// The tuner verifies every winner through clc, so a Table II kernel
+/// the trace compiler declined would silently run on the reference
+/// interpreter, tens of times slower. Compiling is enough to check
+/// this; nothing is launched.
+#[test]
+fn every_table_ii_winner_traces() {
+    let winners = all_winners();
+    assert_eq!(winners.len(), 12);
+    for e in winners {
+        let gen = generate(&e.params).unwrap_or_else(|err| panic!("{}: {err}", e.device));
+        let prog = Program::compile(&gen.source)
+            .unwrap_or_else(|err| panic!("{} {}: compile: {err}", e.device, e.params.precision));
+        let ck = prog.kernel(KERNEL_NAME).expect("kernel present").compiled();
+        assert!(
+            ck.trace.is_some(),
+            "{} {}: trace compiler declined the winner: {:?}",
+            e.device,
+            e.params.precision,
+            ck.trace_decline
+        );
+    }
+}
+
 /// The explicit decline list: kernel shapes the trace compiler refuses,
 /// each with its pinned reason. Declining is a routing decision, not a
-/// failure — the launch falls back to the fast VM and must still match
-/// the reference bit-for-bit. If a pipeline change starts accepting one
+/// failure — the launch falls back to the reference interpreter and
+/// must still match a direct reference launch bit-for-bit. If a pipeline change starts accepting one
 /// of these (or declining something new), this test is the place that
 /// documents it.
 #[test]
@@ -251,8 +261,8 @@ fn compiled_engine_decline_list() {
             reason.contains(want),
             "decline {case}: reason {reason:?} does not mention {want:?}"
         );
-        // The fallback still has to be right: Compiled (→ fast VM) and
-        // the reference must agree bit-for-bit.
+        // The fallback still has to be right: Compiled (→ reference)
+        // and the reference must agree bit-for-bit.
         let nd = clgemm_clc::NdRange::d1(n, 8);
         let init = BufData::F32((0..n).map(|i| (i as f32) / 3.0 - 4.0).collect());
         let mut cb = vec![init.clone()];
@@ -273,8 +283,8 @@ fn compiled_engine_decline_list() {
 }
 
 /// A kernel whose work-items diverge at a barrier must fail with the
-/// same error on every engine (the compiled route declines this kernel
-/// and reaches the failure through its fast-VM fallback).
+/// same error on both engines (the compiled route declines this kernel
+/// and reaches the failure through its reference fallback).
 #[test]
 fn divergence_fails_identically_on_all_engines() {
     let src = r#"
@@ -292,23 +302,17 @@ fn divergence_fails_identically_on_all_engines() {
         .launch(nd, &[Arg::Buf(0)], &mut b2, &ExecOptions::reference())
         .unwrap_err();
     assert!(matches!(re, RuntimeError::BarrierDivergence { .. }), "{re}");
-    for engine in [Engine::Fast, Engine::Compiled] {
-        let opts = ExecOptions {
-            engine,
-            ..Default::default()
-        };
-        let mut b1 = vec![BufData::F64(vec![0.0; 8])];
-        let fe = kernel
-            .launch(nd, &[Arg::Buf(0)], &mut b1, &opts)
-            .unwrap_err();
-        assert_eq!(fe.to_string(), re.to_string(), "{engine:?}");
-    }
+    let mut b1 = vec![BufData::F64(vec![0.0; 8])];
+    let ce = kernel
+        .launch(nd, &[Arg::Buf(0)], &mut b1, &ExecOptions::default())
+        .unwrap_err();
+    assert_eq!(ce.to_string(), re.to_string());
 }
 
 /// A kernel where distinct work-groups write the same global cell must
-/// fail as a global race on every engine. Attribution (which pair of
-/// groups is reported) is schedule-dependent on the parallel engines,
-/// so only the error class is compared.
+/// fail as a global race on both engines. Attribution (which pair of
+/// groups is reported) is schedule-dependent on the parallel compiled
+/// engine, so only the error class is compared.
 #[test]
 fn inter_group_race_fails_identically_on_all_engines() {
     let src = r#"
@@ -319,7 +323,7 @@ fn inter_group_race_fails_identically_on_all_engines() {
     let prog = Program::compile(src).unwrap();
     let kernel = prog.kernel("clash").unwrap();
     let nd = clgemm_clc::NdRange::d1(8, 2);
-    for engine in [Engine::Compiled, Engine::Fast, Engine::Reference] {
+    for engine in [Engine::Compiled, Engine::Reference] {
         let opts = ExecOptions {
             engine,
             ..Default::default()
