@@ -1,16 +1,20 @@
 //! Strided-batched GEMM bench: one `gemm_batch` call vs a loop of
 //! single `gemm` calls over the same entries, across batch sizes and
-//! shapes, plus the direct-vs-packed crossover sweep that sets
+//! shapes, plus the direct-vs-packed crossover sweep behind
 //! [`DIRECT_BATCH_MAX`].
 //!
-//! Full runs produce `BENCH_batched.json` at the repo root: GFlop/s for
-//! batched and looped variants at batch 1/8/64 × 32³/128³/512³ f32 (and
-//! an f16 convert-on-pack row), and forced direct vs forced packed
-//! timings across the crossover edge sweep. Smoke mode
-//! (`CLGEMM_BENCH_SMOKE=1`, used by CI) is the regression gate: batched
-//! must beat the looped single calls by ≥ 2× at batch 64 / 128³ f32,
-//! the direct path must beat the packed path at 32³, and repeated
-//! batched calls must perform zero steady-state workspace growths.
+//! Full runs produce `BENCH_batched.json` at the repo root: the host
+//! (SIMD level, worker count, cache sizes), GFlop/s for batched and
+//! looped variants at batch 1/8/64 × 32³/128³/512³ f32, one row per
+//! storage type (f32, f64, f16, bf16) at 64 × 128³ on both paths, and
+//! forced direct vs forced packed timings across the crossover edge
+//! sweep. Smoke mode (`CLGEMM_BENCH_SMOKE=1`, used by CI) is the
+//! regression gate: batched must beat the looped single calls by ≥ 2×
+//! at batch 64 / 128³ f32, the direct path must beat the packed path at
+//! 32³ and by ≥ 4× at 16 × 128³, and repeated batched calls must
+//! perform zero workspace growths after the first on either path.
+//!
+//! [`DIRECT_BATCH_MAX`]: clgemm::batched::DIRECT_BATCH_MAX
 
 use clgemm::batched::{BatchOptions, BatchPath};
 use clgemm::params::small_test_params;
@@ -18,9 +22,11 @@ use clgemm::routine::{GemmOptions, TunedGemm};
 use clgemm_blas::matrix::{Matrix, StorageOrder};
 use clgemm_blas::scalar::{Precision, Scalar, StorageScalar};
 use clgemm_blas::workspace::{Workspace, WorkspaceScalar};
-use clgemm_blas::{BatchWorkspace, GemmBatch, GemmType, F16};
+use clgemm_blas::{BatchWorkspace, Bf16, GemmBatch, GemmType, F16};
 use clgemm_shim::bench::fmt_secs;
 use clgemm_shim::json::Json;
+use clgemm_shim::par::worker_count;
+use clgemm_shim::simd::SimdLevel;
 use std::time::Instant;
 
 fn tuned() -> TunedGemm {
@@ -94,6 +100,19 @@ where
         )
         .expect("bench descriptor is valid");
     }
+
+    /// Best-of-`reps` seconds through the forced direct and the forced
+    /// packed path, each called once first to size its pools.
+    fn direct_and_packed(&mut self, tg: &TunedGemm, reps: usize) -> (f64, f64) {
+        let mut time = |path| {
+            let opts = BatchOptions {
+                force_path: Some(path),
+            };
+            self.batched(tg, &opts);
+            best_of(reps, || self.batched(tg, &opts))
+        };
+        (time(BatchPath::Direct), time(BatchPath::Packed))
+    }
 }
 
 /// The looped-single baseline: one routine `gemm` call per entry on
@@ -142,6 +161,57 @@ fn gflops(batch: usize, edge: usize, secs: f64) -> f64 {
     2.0 * batch as f64 * (edge * edge * edge) as f64 / secs / 1e9
 }
 
+/// Data-cache sizes in bytes (L1d, L2, L3) from Linux sysfs; zero where
+/// the level is absent or unreadable.
+fn cache_sizes() -> [usize; 3] {
+    let mut out = [0; 3];
+    for index in 0..8 {
+        let dir = format!("/sys/devices/system/cpu/cpu0/cache/index{index}");
+        let read = |f: &str| std::fs::read_to_string(format!("{dir}/{f}")).ok();
+        let (Some(level), Some(kind), Some(size)) = (read("level"), read("type"), read("size"))
+        else {
+            continue;
+        };
+        let size = size.trim();
+        let bytes = match size.strip_suffix('K') {
+            Some(kib) => kib.parse::<usize>().unwrap_or(0) << 10,
+            None => size.parse().unwrap_or(0),
+        };
+        match (level.trim(), kind.trim()) {
+            ("1", "Data") => out[0] = bytes,
+            ("2", _) => out[1] = bytes,
+            ("3", _) => out[2] = bytes,
+            _ => {}
+        }
+    }
+    out
+}
+
+/// One storage type at `batch × edge³` through both forced paths.
+fn storage_row<S: StorageScalar>(tg: &TunedGemm, batch: usize, edge: usize) -> Json
+where
+    S::Acc: WorkspaceScalar,
+{
+    let (direct, packed) = Scenario::<S>::new(batch, edge).direct_and_packed(tg, 5);
+    println!(
+        "batched/{batch}x{edge}_{}: direct {} ({:.2} GFlop/s) vs packed {} ({:.2} GFlop/s)",
+        S::NAME,
+        fmt_secs(direct),
+        gflops(batch, edge, direct),
+        fmt_secs(packed),
+        gflops(batch, edge, packed)
+    );
+    Json::obj(vec![
+        ("storage", Json::Str(S::NAME.into())),
+        ("batch", Json::Num(batch as f64)),
+        ("edge", Json::Num(edge as f64)),
+        ("direct_seconds", Json::Num(direct)),
+        ("packed_seconds", Json::Num(packed)),
+        ("direct_gflops", Json::Num(gflops(batch, edge, direct))),
+        ("packed_gflops", Json::Num(gflops(batch, edge, packed))),
+    ])
+}
+
 fn main() {
     let smoke = std::env::var_os("CLGEMM_BENCH_SMOKE").is_some_and(|v| v == "1");
     let tg = tuned();
@@ -172,16 +242,7 @@ fn main() {
         );
 
         // CI gate 2: below the crossover the direct path must win.
-        let mut sc = Scenario::<f32>::new(64, 32);
-        let direct_opts = BatchOptions {
-            force_path: Some(BatchPath::Direct),
-        };
-        let packed_opts = BatchOptions {
-            force_path: Some(BatchPath::Packed),
-        };
-        sc.batched(&tg, &packed_opts); // warm the packed workspace
-        let direct = best_of(3, || sc.batched(&tg, &direct_opts));
-        let packed = best_of(3, || sc.batched(&tg, &packed_opts));
+        let (direct, packed) = Scenario::<f32>::new(64, 32).direct_and_packed(&tg, 3);
         println!(
             "batched smoke gate (64x32^3 f32 crossover): direct {} vs packed {} ({:.2}x)",
             fmt_secs(direct),
@@ -195,25 +256,45 @@ fn main() {
             fmt_secs(packed)
         );
 
-        // CI gate 3: steady-state batched calls allocate nothing. The
-        // packed scenario above is already warm; repeats must not grow.
-        let grows = sc.ws.grows();
-        assert!(grows > 0, "packed warm-up must size the pools");
-        for _ in 0..3 {
-            sc.batched(&tg, &packed_opts);
-        }
-        assert_eq!(
-            sc.ws.grows(),
-            grows,
-            "steady-state batched calls grew the workspace"
+        // CI gate 3: the direct path's margin over the packed pipeline
+        // at 16 x 128^3 f32, where both run mid-size tiles.
+        let (direct, packed) = Scenario::<f32>::new(16, 128).direct_and_packed(&tg, 5);
+        println!(
+            "batched smoke gate (16x128^3 f32): direct {} vs packed {} ({:.2}x)",
+            fmt_secs(direct),
+            fmt_secs(packed),
+            packed / direct
         );
-        // The direct path never touches the workspace at all.
-        let mut direct_ws = Scenario::<f32>::new(8, 32);
-        direct_ws.batched(&tg, &auto);
-        assert_eq!(direct_ws.ws.grows(), 0, "direct path must not stage");
-        println!("batched smoke gate: steady-state workspace growths = 0");
+        assert!(
+            direct * 4.0 <= packed,
+            "direct path ({}) must be at least 4x the packed path ({}) at 16x128^3",
+            fmt_secs(direct),
+            fmt_secs(packed)
+        );
 
-        // CI gate 4: the checked-in record carries both tables.
+        // CI gate 4: after its first call, neither path grows the
+        // workspace again — packed staging and direct panels alike.
+        for path in [BatchPath::Packed, BatchPath::Direct] {
+            let opts = BatchOptions {
+                force_path: Some(path),
+            };
+            let mut sc = Scenario::<f32>::new(8, 32);
+            sc.batched(&tg, &opts);
+            let grows = sc.ws.grows();
+            assert!(grows > 0, "the first {path} call must size the pools");
+            for _ in 0..3 {
+                sc.batched(&tg, &opts);
+            }
+            assert_eq!(
+                sc.ws.grows(),
+                grows,
+                "steady-state batched calls grew the workspace"
+            );
+        }
+        println!("batched smoke gate: growths after the first call = 0 on both paths");
+
+        // CI gate 5: the checked-in record carries the host and every
+        // table.
         let json_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_batched.json");
         let doc =
             Json::parse(&std::fs::read_to_string(json_path).expect("read BENCH_batched.json"))
@@ -228,9 +309,19 @@ fn main() {
             .and_then(Json::as_arr)
             .expect("crossover table");
         assert!(crossover.len() >= 6, "crossover sweep must be recorded");
+        let storage = doc
+            .get("storage")
+            .and_then(Json::as_arr)
+            .expect("storage table");
+        assert_eq!(storage.len(), 4, "one row per storage type");
+        let host = doc.get("host").expect("host metadata");
+        for field in ["simd", "workers", "l1d_bytes", "l2_bytes", "l3_bytes"] {
+            assert!(host.get(field).is_some(), "host metadata lacks {field}");
+        }
         println!(
-            "batched smoke gate: {} grid rows, {} crossover rows in BENCH_batched.json",
+            "batched smoke gate: {} grid, {} storage, {} crossover rows in BENCH_batched.json",
             grid.len(),
+            storage.len(),
             crossover.len()
         );
         return;
@@ -278,48 +369,20 @@ fn main() {
             ]));
         }
     }
-    // Convert-on-pack row: f16 storage at batch 8 / 128^3, both paths.
-    {
-        let (batch, edge) = (8usize, 128usize);
-        let mut sc = Scenario::<F16>::new(batch, edge);
-        sc.batched(&tg, &auto);
-        let direct = best_of(3, || sc.batched(&tg, &auto));
-        let packed_opts = BatchOptions {
-            force_path: Some(BatchPath::Packed),
-        };
-        sc.batched(&tg, &packed_opts);
-        let packed = best_of(3, || sc.batched(&tg, &packed_opts));
-        println!(
-            "batched/{batch}x{edge}_f16: direct {} vs packed(widen) {}",
-            fmt_secs(direct),
-            fmt_secs(packed)
-        );
-        grid.push(Json::obj(vec![
-            ("batch", Json::Num(batch as f64)),
-            ("edge", Json::Num(edge as f64)),
-            ("storage", Json::Str("f16".into())),
-            ("path", Json::Str("direct".into())),
-            ("batched_seconds", Json::Num(direct)),
-            ("packed_seconds", Json::Num(packed)),
-            ("batched_gflops", Json::Num(gflops(batch, edge, direct))),
-        ]));
-    }
+    // ---- one row per storage type at 64 x 128^3 ---------------------------
+    let storage = vec![
+        storage_row::<f32>(&tg, 64, 128),
+        storage_row::<f64>(&tg, 64, 128),
+        storage_row::<F16>(&tg, 64, 128),
+        storage_row::<Bf16>(&tg, 64, 128),
+    ];
 
     // ---- crossover sweep: forced direct vs forced packed ------------------
-    let direct_opts = BatchOptions {
-        force_path: Some(BatchPath::Direct),
-    };
-    let packed_opts = BatchOptions {
-        force_path: Some(BatchPath::Packed),
-    };
     let mut crossover: Vec<Json> = Vec::new();
     for &edge in &[16usize, 32, 48, 64, 96, 128, 160, 192, 256, 384, 512] {
         let batch = 16usize;
         let reps = if edge >= 384 { 2 } else { 3 };
-        let mut sc = Scenario::<f32>::new(batch, edge);
-        sc.batched(&tg, &packed_opts); // size the pools outside timing
-        let direct = best_of(reps, || sc.batched(&tg, &direct_opts));
-        let packed = best_of(reps, || sc.batched(&tg, &packed_opts));
+        let (direct, packed) = Scenario::<f32>::new(batch, edge).direct_and_packed(&tg, reps);
         println!(
             "batched/crossover_{edge}: direct {} vs packed {} ({})",
             fmt_secs(direct),
@@ -340,13 +403,23 @@ fn main() {
         ]));
     }
 
+    let [l1d, l2, l3] = cache_sizes();
+    let host = Json::obj(vec![
+        ("simd", Json::Str(SimdLevel::detect().tag().into())),
+        ("workers", Json::from(worker_count(usize::MAX))),
+        ("l1d_bytes", Json::from(l1d)),
+        ("l2_bytes", Json::from(l2)),
+        ("l3_bytes", Json::from(l3)),
+    ]);
     let doc = Json::obj(vec![
         ("bench", Json::Str("batched".into())),
+        ("host", host),
         (
             "direct_batch_max",
             Json::Num(clgemm::batched::DIRECT_BATCH_MAX as f64),
         ),
         ("batched_vs_looped", Json::Arr(grid)),
+        ("storage", Json::Arr(storage)),
         ("crossover", Json::Arr(crossover)),
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_batched.json");

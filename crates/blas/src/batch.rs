@@ -105,46 +105,58 @@ impl GemmBatch {
     }
 
     /// Column-major extent (elements spanned) of one `A` entry; zero for
-    /// an empty entry.
+    /// an empty entry. Saturates at `usize::MAX` when the extent is not
+    /// addressable, which [`GemmBatch::validate`] rejects.
     #[must_use]
     pub fn a_extent(&self) -> usize {
-        extent(self.a_dims(), self.lda)
+        extent("A", self.a_dims(), self.lda).unwrap_or(usize::MAX)
     }
 
-    /// Extent of one `B` entry.
+    /// Extent of one `B` entry (saturating, like [`GemmBatch::a_extent`]).
     #[must_use]
     pub fn b_extent(&self) -> usize {
-        extent(self.b_dims(), self.ldb)
+        extent("B", self.b_dims(), self.ldb).unwrap_or(usize::MAX)
     }
 
-    /// Extent of one `C` entry.
+    /// Extent of one `C` entry (saturating, like [`GemmBatch::a_extent`]).
     #[must_use]
     pub fn c_extent(&self) -> usize {
-        extent((self.m, self.n), self.ldc)
+        extent("C", (self.m, self.n), self.ldc).unwrap_or(usize::MAX)
     }
 
-    /// Slab offset of entry `i`'s `A`.
+    /// Slab offset of entry `i`'s `A`. In range for every `i < batch`
+    /// of a validated descriptor; saturates instead of wrapping past it.
     #[must_use]
     pub fn a_offset(&self, i: usize) -> usize {
-        i * self.stride_a
+        i.saturating_mul(self.stride_a)
     }
 
-    /// Slab offset of entry `i`'s `B`.
+    /// Slab offset of entry `i`'s `B` (see [`GemmBatch::a_offset`]).
     #[must_use]
     pub fn b_offset(&self, i: usize) -> usize {
-        i * self.stride_b
+        i.saturating_mul(self.stride_b)
     }
 
-    /// Slab offset of entry `i`'s `C`.
+    /// Slab offset of entry `i`'s `C` (see [`GemmBatch::a_offset`]).
     #[must_use]
     pub fn c_offset(&self, i: usize) -> usize {
-        i * self.stride_c
+        i.saturating_mul(self.stride_c)
     }
 
-    /// Minimum `C`-slab length the batch touches.
+    /// Minimum `C`-slab length the batch touches (saturating, like
+    /// [`GemmBatch::a_extent`]).
     #[must_use]
     pub fn c_required(&self) -> usize {
-        required(self.batch, self.stride_c, self.c_extent())
+        self.try_c_required().unwrap_or(usize::MAX)
+    }
+
+    /// Checked minimum `C`-slab length.
+    ///
+    /// # Errors
+    /// Returns [`BatchError`] when the last entry's end overflows `usize`.
+    pub fn try_c_required(&self) -> Result<usize, BatchError> {
+        let c_ext = extent("C", (self.m, self.n), self.ldc)?;
+        required("C", self.batch, self.stride_c, c_ext)
     }
 
     /// Useful floating-point operations of the whole batch.
@@ -155,10 +167,15 @@ impl GemmBatch {
 
     /// Validate the descriptor against the three slab lengths.
     ///
+    /// Every extent and entry end is computed with checked arithmetic, so
+    /// a descriptor that passes addresses only in-bounds elements: for
+    /// each `i < batch`, `offset(i) + extent` is at most the slab length.
+    ///
     /// # Errors
     /// Returns [`BatchError`] when a leading dimension is smaller than its
-    /// stored row count, when `C` entries can overlap, or when a slab is
-    /// shorter than the addresses the batch reaches.
+    /// stored row count, when `C` entries can overlap, when an extent or
+    /// entry end overflows `usize`, or when a slab is shorter than the
+    /// addresses the batch reaches.
     pub fn validate(&self, len_a: usize, len_b: usize, len_c: usize) -> Result<(), BatchError> {
         let bad = |msg: String| Err(BatchError(msg));
         // A batch with no entries or empty C performs no reads or writes
@@ -167,36 +184,30 @@ impl GemmBatch {
         if self.batch == 0 || self.m == 0 || self.n == 0 {
             return Ok(());
         }
-        let (ar, _) = self.a_dims();
-        let (br, _) = self.b_dims();
-        if self.a_extent() > 0 && self.lda < ar {
+        let (ar, ac) = self.a_dims();
+        let (br, bc) = self.b_dims();
+        let a_ext = extent("A", (ar, ac), self.lda)?;
+        let b_ext = extent("B", (br, bc), self.ldb)?;
+        let c_ext = extent("C", (self.m, self.n), self.ldc)?;
+        if a_ext > 0 && self.lda < ar {
             return bad(format!("lda {} < stored A rows {ar}", self.lda));
         }
-        if self.b_extent() > 0 && self.ldb < br {
+        if b_ext > 0 && self.ldb < br {
             return bad(format!("ldb {} < stored B rows {br}", self.ldb));
         }
-        if self.c_extent() > 0 && self.ldc < self.m {
+        if c_ext > 0 && self.ldc < self.m {
             return bad(format!("ldc {} < m {}", self.ldc, self.m));
         }
-        if self.batch > 1 && self.c_extent() > 0 && self.stride_c < self.c_extent() {
+        if self.batch > 1 && c_ext > 0 && self.stride_c < c_ext {
             return bad(format!(
-                "stride_c {} lets C entries overlap (extent {})",
-                self.stride_c,
-                self.c_extent()
+                "stride_c {} lets C entries overlap (extent {c_ext})",
+                self.stride_c
             ));
         }
         for (name, len, need) in [
-            (
-                "A",
-                len_a,
-                required(self.batch, self.stride_a, self.a_extent()),
-            ),
-            (
-                "B",
-                len_b,
-                required(self.batch, self.stride_b, self.b_extent()),
-            ),
-            ("C", len_c, self.c_required()),
+            ("A", len_a, required("A", self.batch, self.stride_a, a_ext)?),
+            ("B", len_b, required("B", self.batch, self.stride_b, b_ext)?),
+            ("C", len_c, required("C", self.batch, self.stride_c, c_ext)?),
         ] {
             if len < need {
                 return bad(format!(
@@ -228,21 +239,24 @@ fn stored_dims(t: Trans, r: usize, c: usize) -> (usize, usize) {
 
 /// Elements spanned by one column-major `(rows, cols)` entry with leading
 /// dimension `ld`; zero when the entry is empty.
-fn extent((rows, cols): (usize, usize), ld: usize) -> usize {
+fn extent(name: &str, (rows, cols): (usize, usize), ld: usize) -> Result<usize, BatchError> {
     if rows == 0 || cols == 0 {
-        0
-    } else {
-        ld * (cols - 1) + rows
+        return Ok(0);
     }
+    ld.checked_mul(cols - 1)
+        .and_then(|v| v.checked_add(rows))
+        .ok_or_else(|| BatchError(format!("{name} entry extent overflows usize")))
 }
 
 /// Minimum slab length for `batch` entries of `extent` at `stride`.
-fn required(batch: usize, stride: usize, extent: usize) -> usize {
+fn required(name: &str, batch: usize, stride: usize, extent: usize) -> Result<usize, BatchError> {
     if batch == 0 || extent == 0 {
-        0
-    } else {
-        stride * (batch - 1) + extent
+        return Ok(0);
     }
+    stride
+        .checked_mul(batch - 1)
+        .and_then(|v| v.checked_add(extent))
+        .ok_or_else(|| BatchError(format!("{name} slab end overflows usize")))
 }
 
 #[cfg(test)]
@@ -315,6 +329,32 @@ mod tests {
         let mut d = GemmBatch::packed(GemmType::NN, 1, 4, 4, 4);
         d.ldc = 2;
         assert!(d.validate(16, 16, 16).is_err());
+    }
+
+    #[test]
+    fn overflowing_descriptors_are_rejected_not_wrapped() {
+        // A stride chosen so that stride·(batch−1) + extent wraps to 1:
+        // unchecked arithmetic would pass validation with tiny slabs and
+        // then index far out of bounds.
+        let mut d = GemmBatch::packed(GemmType::NN, 2, 4, 4, 4);
+        d.stride_a = usize::MAX - d.a_extent() + 2;
+        let err = d.validate(16, 32, 32).unwrap_err();
+        assert!(err.0.contains("A slab end overflows"), "{err}");
+        // Same for B and C, and for the per-entry extent itself.
+        let mut d = GemmBatch::packed(GemmType::NN, 2, 4, 4, 4);
+        d.stride_b = usize::MAX / 2 + 1;
+        assert!(d.validate(32, 32, 32).is_err());
+        let mut d = GemmBatch::packed(GemmType::NN, 3, 4, 4, 4);
+        d.stride_c = usize::MAX / 2;
+        assert!(d.try_c_required().is_err());
+        assert_eq!(d.c_required(), usize::MAX, "saturates, never wraps");
+        assert!(d.validate(48, 48, 48).is_err());
+        let mut d = GemmBatch::packed(GemmType::NN, 1, 4, 4, 4);
+        d.ldc = usize::MAX / 2;
+        assert_eq!(d.c_extent(), usize::MAX);
+        assert!(d.validate(16, 16, 16).is_err());
+        // Offsets past the batch saturate rather than wrap into range.
+        assert_eq!(d.c_offset(usize::MAX), usize::MAX);
     }
 
     #[test]

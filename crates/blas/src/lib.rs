@@ -13,6 +13,9 @@
 //! * [`pack`] — copy/transpose/pad routines that move user matrices into
 //!   block-major staging buffers (the "copying" step of §III-D/§IV-B) and
 //!   merge results back.
+//! * [`panel`] — widen-once panel packing and the register-blocked
+//!   microkernels (explicit AVX-512 / AVX2+FMA variants plus a portable
+//!   one) behind the batched direct path.
 //! * [`gemm_ref`] — reference GEMM implementations (naive, blocked,
 //!   thread-parallel) used as the correctness oracle for every generated
 //!   kernel.
@@ -25,6 +28,7 @@ pub mod gemm_ref;
 pub mod layout;
 pub mod matrix;
 pub mod pack;
+pub mod panel;
 pub mod scalar;
 pub mod workspace;
 
@@ -33,6 +37,7 @@ pub use error::{max_abs_diff, max_rel_error, verify_gemm, ErrorReport};
 pub use layout::{BlockLayout, PackedDims};
 pub use matrix::{Matrix, StorageOrder};
 pub use pack::{merge_c, pack_operand, PackSpec};
+pub use panel::PanelScalar;
 pub use scalar::{Bf16, Scalar, StorageScalar, F16};
 pub use workspace::{BatchWorkspace, Workspace, WorkspaceScalar};
 

@@ -5,6 +5,7 @@
 //! both precisions exercise identical code paths, exactly as the paper's
 //! single code generator serves both.
 
+use crate::panel::PanelScalar;
 use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -132,8 +133,8 @@ impl Scalar for f64 {
 /// A storage element type for batched GEMM slabs.
 ///
 /// Arithmetic always happens in [`StorageScalar::Acc`] (`f32` or `f64`):
-/// operands are widened on pack (or on load, in the direct path) and the
-/// accumulator is narrowed back exactly once when `C` is written. Widening
+/// operands are widened once, on pack, and the accumulator is narrowed
+/// back exactly once when `C` is written. Widening
 /// `f16`/`bf16` to `f32` is exact, so the half-precision paths run the
 /// *identical* `f32` FMA chain as an `f32` computation over the widened
 /// values — the property suite compares them bit for bit. Narrowing uses
@@ -142,7 +143,7 @@ pub trait StorageScalar:
     Copy + Clone + Debug + Display + Default + PartialEq + Send + Sync + 'static
 {
     /// The accumulation type; all arithmetic happens here.
-    type Acc: Scalar;
+    type Acc: PanelScalar;
     /// Short name used in metrics/bench labels (`"f32"`, `"f16"`, …).
     const NAME: &'static str;
     /// `true` when `widen` changes representation (convert-on-pack).
@@ -154,6 +155,18 @@ pub trait StorageScalar:
     fn widen(self) -> Self::Acc;
     /// Round-to-nearest-even narrowing from the accumulation type.
     fn narrow(acc: Self::Acc) -> Self;
+    /// [`StorageScalar::widen`] over a run (`src.len() == dst.len()`).
+    fn widen_slice(src: &[Self], dst: &mut [Self::Acc]) {
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d = s.widen();
+        }
+    }
+    /// [`StorageScalar::narrow`] over a run (`src.len() == dst.len()`).
+    fn narrow_slice(src: &[Self::Acc], dst: &mut [Self]) {
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = Self::narrow(s);
+        }
+    }
     /// Test-data constructor (round-trips through `narrow`).
     fn from_f64(v: f64) -> Self {
         Self::narrow(Self::Acc::from_f64(v))
@@ -200,10 +213,12 @@ impl StorageScalar for f64 {
 
 /// IEEE 754 binary16 storage (1 sign, 5 exponent, 10 mantissa bits).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+#[repr(transparent)]
 pub struct F16(pub u16);
 
 /// bfloat16 storage — the upper 16 bits of an `f32`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+#[repr(transparent)]
 pub struct Bf16(pub u16);
 
 impl StorageScalar for F16 {
@@ -220,6 +235,67 @@ impl StorageScalar for F16 {
     #[inline]
     fn narrow(acc: f32) -> F16 {
         F16(f32_to_f16(acc))
+    }
+
+    #[cfg(all(target_arch = "x86_64", target_feature = "f16c"))]
+    #[inline]
+    fn widen_slice(src: &[F16], dst: &mut [f32]) {
+        f16c::widen(src, dst);
+    }
+
+    #[cfg(all(target_arch = "x86_64", target_feature = "f16c"))]
+    #[inline]
+    fn narrow_slice(src: &[f32], dst: &mut [F16]) {
+        f16c::narrow(src, dst);
+    }
+}
+
+/// Hardware binary16 conversion, eight lanes at a time (`vcvtph2ps` /
+/// `vcvtps2ph` with round-to-nearest-even). Both are exact IEEE
+/// conversions and agree bit for bit with [`f16_to_f32`] and
+/// [`f32_to_f16`] — NaNs included, which both quiet and truncate the
+/// same way; the tests below check every binary16 pattern and every f32
+/// exponent. Tails shorter than a vector use the software conversion.
+#[cfg(all(target_arch = "x86_64", target_feature = "f16c"))]
+mod f16c {
+    use super::{f16_to_f32, f32_to_f16, F16};
+    use core::arch::x86_64::{
+        _mm256_cvtph_ps, _mm256_cvtps_ph, _mm256_loadu_ps, _mm256_storeu_ps, _mm_loadu_si128,
+        _mm_storeu_si128, _MM_FROUND_TO_NEAREST_INT,
+    };
+
+    #[inline]
+    pub fn widen(src: &[F16], dst: &mut [f32]) {
+        let n = src.len().min(dst.len());
+        let body = n - n % 8;
+        for i in (0..body).step_by(8) {
+            // SAFETY: `i + 8 <= n` bounds both runs; `F16` is a
+            // transparent `u16`; the build enables F16C.
+            unsafe {
+                let h = _mm_loadu_si128(src.as_ptr().add(i).cast());
+                _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_cvtph_ps(h));
+            }
+        }
+        for (d, s) in dst[body..n].iter_mut().zip(&src[body..n]) {
+            *d = f16_to_f32(s.0);
+        }
+    }
+
+    #[inline]
+    pub fn narrow(src: &[f32], dst: &mut [F16]) {
+        let n = src.len().min(dst.len());
+        let body = n - n % 8;
+        for i in (0..body).step_by(8) {
+            // SAFETY: as in `widen`.
+            unsafe {
+                let v = _mm256_loadu_ps(src.as_ptr().add(i));
+                let h = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(v);
+                _mm_storeu_si128(dst.as_mut_ptr().add(i).cast(), h);
+            }
+        }
+        for (d, &s) in dst[body..n].iter_mut().zip(&src[body..n]) {
+            *d = F16(f32_to_f16(s));
+        }
     }
 }
 
@@ -471,6 +547,78 @@ mod tests {
         // Smallest subnormal survives.
         let tiny = f16_to_f32(0x0001);
         assert_eq!(f32_to_f16(tiny), 0x0001);
+    }
+
+    #[test]
+    fn slice_widening_matches_scalar_for_every_half_pattern() {
+        // Exhaustive over all 2¹⁶ bit patterns, NaNs and infinities
+        // included, for both half types; then once more at a ragged
+        // length so the tail path runs too.
+        let f16: Vec<F16> = (0..=u16::MAX).map(F16).collect();
+        let bf16: Vec<Bf16> = (0..=u16::MAX).map(Bf16).collect();
+        let mut wide = vec![0f32; f16.len()];
+        for len in [f16.len(), 8 * 1000 + 5] {
+            F16::widen_slice(&f16[..len], &mut wide[..len]);
+            for (h, w) in f16.iter().zip(&wide[..len]) {
+                assert_eq!(w.to_bits(), f16_to_f32(h.0).to_bits(), "f16 {:#06x}", h.0);
+            }
+            Bf16::widen_slice(&bf16[..len], &mut wide[..len]);
+            for (h, w) in bf16.iter().zip(&wide[..len]) {
+                assert_eq!(w.to_bits(), u32::from(h.0) << 16, "bf16 {:#06x}", h.0);
+            }
+        }
+    }
+
+    /// f32 values that probe every rounding decision of a narrow: each
+    /// exponent with zero, tie, tie ± 1 ulp, odd/even-kept mantissas and
+    /// the extremes, both signs — plus NaN payloads and a seeded sweep.
+    fn narrowing_probes() -> Vec<f32> {
+        let mut bits = Vec::new();
+        for exp in 0u32..=0xff {
+            for man in [
+                0u32, 1, 0x0fff, 0x1000, 0x1001, 0x2fff, 0x3000, 0x3001, 0x7fff, 0x8000, 0x8001,
+                0x1_8000, 0x40_0000, 0x40_0001, 0x7f_e000, 0x7f_efff, 0x7f_f000, 0x7f_ffff,
+            ] {
+                for sign in [0u32, 0x8000_0000] {
+                    bits.push(sign | exp << 23 | man);
+                }
+            }
+        }
+        // Subnormal-f16 and overflow neighbourhoods in full detail.
+        for exp in 100u32..=113 {
+            bits.extend((0..64).map(|j| (exp << 23) | (j * 0x1_0001)));
+        }
+        for v in [
+            65504.0f32,
+            65519.996,
+            65520.0,
+            65536.0,
+            5.960_464_5e-8,
+            2.980_232_2e-8,
+        ] {
+            bits.extend([
+                v.to_bits(),
+                (-v).to_bits(),
+                v.to_bits() - 1,
+                v.to_bits() + 1,
+            ]);
+        }
+        let mut rng = clgemm_shim::Rng::new(0x0F16_0F16);
+        bits.extend((0..1_000_000).map(|_| rng.next_u64() as u32));
+        bits.into_iter().map(f32::from_bits).collect()
+    }
+
+    #[test]
+    fn slice_narrowing_matches_scalar_rounding() {
+        let probes = narrowing_probes();
+        let mut f16 = vec![F16::default(); probes.len()];
+        let mut bf16 = vec![Bf16::default(); probes.len()];
+        F16::narrow_slice(&probes, &mut f16);
+        Bf16::narrow_slice(&probes, &mut bf16);
+        for ((&x, h), b) in probes.iter().zip(&f16).zip(&bf16) {
+            assert_eq!(h.0, f32_to_f16(x), "f16 narrow of {:#010x}", x.to_bits());
+            assert_eq!(b.0, f32_to_bf16(x), "bf16 narrow of {:#010x}", x.to_bits());
+        }
     }
 
     #[test]

@@ -13,18 +13,21 @@
 //!   is packed exactly once.
 //! * Entries execute in parallel through the shim `par` harness, each
 //!   worker reusing its own grow-only [`BatchWorkspace`] slot — zero
-//!   steady-state allocations, gated by [`BatchWorkspace::grows`].
+//!   allocations after the first call on either path, gated by
+//!   [`BatchWorkspace::grows`].
 //! * Small shapes (every dimension at or below [`DIRECT_BATCH_MAX`])
-//!   skip packing and staging entirely: a SIMD register-tiled direct
-//!   kernel reads `A`/`B` in place. The packed pipeline pays four
-//!   `O(N²)` copy passes per entry and runs the paper-shaped tiled
-//!   kernel; the direct kernel does neither, which is where the
-//!   batched ≥ 2× looped speedup at 64 × 128³ comes from.
+//!   take the direct path: each entry widens `op(A)` once into `MR`-row
+//!   panels and `op(B)` once into `NR`-column panels (a shared operand
+//!   once per call), and an explicit-SIMD `MR × NR` microkernel
+//!   ([`clgemm_blas::panel`]) runs over every tile and merges straight
+//!   into `C`. There is no `C` staging and no paper-layout copy; the
+//!   packed pipeline pays four `O(N²)` copy passes per entry into the
+//!   tuned layouts and runs the paper-shaped tiled kernel.
 //! * Storage may be `f16`/`bf16` ([`StorageScalar`]): operands widen to
-//!   the accumulation type on pack (or per load on the direct path), the
-//!   kernel runs its usual `f32` FMA chain, and results narrow once with
-//!   round-to-nearest-even on merge. Widening is exact, so every stored
-//!   type is bit-identical to computing on pre-widened matrices.
+//!   the accumulation type once, on pack, the kernel runs its usual
+//!   `f32` FMA chain, and results narrow once with round-to-nearest-even
+//!   on merge. Widening is exact, so every stored type is bit-identical
+//!   to computing on pre-widened matrices.
 //!
 //! Numerics are the routine's own: every `C` element sees one
 //! ascending-`p` FMA chain and one `α·acc + β·old` merge, so the batched
@@ -37,6 +40,9 @@ use crate::routine::{PackDecision, TunedGemm, SERIAL_PACK_MAX};
 use crate::tile::{TileDecision, TileSelector};
 use clgemm_blas::layout::{round_up, PackedDims};
 use clgemm_blas::pack::{merge_slice_narrow, pack_slice_widen, stage_slice_widen, PackSpec};
+use clgemm_blas::panel::{
+    line_aligned, pack_panels, panels_len, PanelScalar, LINE_SLACK, MR_MAX, TILE_MAX,
+};
 use clgemm_blas::scalar::{Scalar, StorageScalar};
 use clgemm_blas::workspace::{BatchWorkspace, WorkspaceScalar};
 use clgemm_blas::{BatchError, GemmBatch, Trans};
@@ -45,25 +51,25 @@ use clgemm_shim::par::{par_items_mut, worker_count};
 use clgemm_trace::Registry;
 
 /// Batches whose `m`, `n` and `k` are all at or below this run the
-/// copy-free direct kernel instead of the pack/stage/merge pipeline.
+/// panel-packed direct path instead of the pack/stage/merge pipeline.
 ///
 /// Benched in `BENCH_batched.json` (`crossover` table): on the bench
-/// host the direct kernel wins at every swept edge (16³–512³), because
+/// host the direct path wins at every swept edge (16³–512³), because
 /// the packed pipeline pays four `O(N²)` copy passes per entry and runs
-/// the paper-shaped tiled kernel, while the direct kernel is a SIMD
-/// register tile reading operands in place. The threshold is still kept
-/// finite — and conservative — because the direct path's advantage
-/// rests on in-place operands staying cache-resident: 256³ is the last
-/// swept edge where one entry's three f32 slabs (~768 KiB) fit a
-/// typical last-level-cache slice. Past it we hand over to the packed
-/// pipeline, whose blocked traffic is layout-independent and which
-/// amortises shared-operand packs across the whole batch.
+/// the paper-shaped tiled kernel, while the direct path packs each
+/// operand once into microkernel panels. The threshold is still kept
+/// finite — and conservative — because the direct path packs whole
+/// `k`-deep panels without cache blocking: 256³ is the last swept edge
+/// where one entry's three f32 slabs (~768 KiB) fit a typical
+/// last-level-cache slice. Past it we hand over to the packed pipeline,
+/// whose blocked traffic is layout-independent.
 pub const DIRECT_BATCH_MAX: usize = 256;
 
 /// Which host data path executed a batched call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchPath {
-    /// Register-tiled in-place kernel; no packing, staging or padding.
+    /// Widen-once panel packing and an `MR × NR` SIMD microkernel; no
+    /// `C` staging.
     Direct,
     /// Per-entry pack/stage/kernel/merge, shared operands packed once.
     Packed,
@@ -113,8 +119,7 @@ pub struct BatchRun {
     /// The copy-path decision (packed path only; per-entry copies are
     /// serial — parallelism comes from the batch dimension).
     pub pack: Option<PackDecision>,
-    /// `true` when operands widened from a narrow storage type on pack
-    /// or load.
+    /// `true` when operands widened from a narrow storage type on pack.
     pub widened: bool,
 }
 
@@ -219,12 +224,7 @@ impl TunedGemm {
         let mut entries = split_c_entries(c, desc);
         let run = match path {
             BatchPath::Direct => {
-                let mut states = vec![(); workers];
-                par_items_mut(&mut entries, &mut states, |i, centry, ()| {
-                    let ae = &a[desc.a_offset(i)..desc.a_offset(i) + desc.a_extent()];
-                    let be = &b[desc.b_offset(i)..desc.b_offset(i) + desc.b_extent()];
-                    direct_entry(desc, alpha, ae, be, beta, centry);
-                });
+                direct_batch(desc, alpha, a, b, beta, &mut entries, ws, workers);
                 let mut run = BatchRun::empty(path, batch);
                 run.workers = workers;
                 run.total = self.predict_batch_direct::<S>(desc);
@@ -436,6 +436,94 @@ impl TunedGemm {
     }
 }
 
+/// The direct arm: each entry widens `op(A)` into `MR`-row panels and
+/// `op(B)` into `NR`-column panels once, in its worker's pool (a shared
+/// operand once per call, in the shared pool), then runs the microkernel
+/// over every tile and merges straight into `C`: no staging or padding
+/// of `C`.
+#[allow(clippy::too_many_arguments)]
+fn direct_batch<S>(
+    desc: &GemmBatch,
+    alpha: S::Acc,
+    a: &[S],
+    b: &[S],
+    beta: S::Acc,
+    entries: &mut [&mut [S]],
+    ws: &mut BatchWorkspace,
+    workers: usize,
+) where
+    S: StorageScalar,
+    S::Acc: WorkspaceScalar,
+{
+    let (m, n, k) = (desc.m, desc.n, desc.k);
+    let (mr, nr) = (S::Acc::MR, S::Acc::NR);
+    let (la, lb) = (panels_len(m, k, mr), panels_len(n, k, nr));
+    // op(A)[i][p] runs along i when A is stored untransposed; op(B)[p][j]
+    // runs along j when B is stored transposed.
+    let a_lanes = desc.ty.ta == Trans::No;
+    let b_lanes = desc.ty.tb == Trans::Yes;
+    let pack_a = |src: &[S], out: &mut [S::Acc]| {
+        pack_panels(src, desc.lda, a_lanes, m, k, mr, out);
+    };
+    let pack_b = |src: &[S], out: &mut [S::Acc]| {
+        pack_panels(src, desc.ldb, b_lanes, n, k, nr, out);
+    };
+    let convert = S::WIDENS.then(|| Registry::global().counter("routine_convert_on_pack_total"));
+    let count_convert = |packs: u64| {
+        if let Some(ctr) = &convert {
+            ctr.add(packs);
+        }
+    };
+
+    // Every buffer carries a cache line of slack so its panels can start
+    // on a line boundary: unaligned 64-byte loads split across lines.
+    let want = |shared: bool, len: usize| if shared { len + LINE_SLACK } else { 0 };
+    let (shared, worker_ws) = ws.parts(workers);
+    let (sa, sb, _) =
+        shared
+            .pool::<S::Acc>()
+            .buffers(want(desc.shared_a(), la), want(desc.shared_b(), lb), 0);
+    let sa: &[S::Acc] = if desc.shared_a() {
+        let sa = line_aligned(sa, la);
+        pack_a(&a[..desc.a_extent()], sa);
+        count_convert(1);
+        sa
+    } else {
+        &[]
+    };
+    let sb: &[S::Acc] = if desc.shared_b() {
+        let sb = line_aligned(sb, lb);
+        pack_b(&b[..desc.b_extent()], sb);
+        count_convert(1);
+        sb
+    } else {
+        &[]
+    };
+
+    par_items_mut(entries, worker_ws, |i, centry, w| {
+        let (pa, pb, _) =
+            w.pool::<S::Acc>()
+                .buffers(want(!desc.shared_a(), la), want(!desc.shared_b(), lb), 0);
+        let pa: &[S::Acc] = if desc.shared_a() {
+            sa
+        } else {
+            let pa = line_aligned(pa, la);
+            pack_a(&a[desc.a_offset(i)..][..desc.a_extent()], pa);
+            count_convert(1);
+            pa
+        };
+        let pb: &[S::Acc] = if desc.shared_b() {
+            sb
+        } else {
+            let pb = line_aligned(pb, lb);
+            pack_b(&b[desc.b_offset(i)..][..desc.b_extent()], pb);
+            count_convert(1);
+            pb
+        };
+        direct_tiles(m, n, k, alpha, pa, pb, beta, centry, desc.ldc);
+    });
+}
+
 /// Split the `C` slab into one disjoint mutable sub-slice per entry.
 /// Validation already rejected overlapping strides for `batch > 1`.
 fn split_c_entries<'a, S>(c: &'a mut [S], desc: &GemmBatch) -> Vec<&'a mut [S]> {
@@ -455,120 +543,54 @@ fn split_c_entries<'a, S>(c: &'a mut [S], desc: &GemmBatch) -> Vec<&'a mut [S]> 
     out
 }
 
-/// One entry through the copy-free direct kernel: 4×4 register tiles of
-/// independent per-cell accumulators over in-place column-major reads,
-/// scalar fringe for ragged edges. Every cell's chain is the canonical
-/// ascending-`p` FMA sequence, so tiling never changes numerics.
-fn direct_entry<S: StorageScalar>(
-    desc: &GemmBatch,
+/// One entry's tiles: the selected microkernel over every `(A panel,
+/// B panel)` pair, then the merge of the valid `rows × cols` cells. The
+/// `A` panel stays cache-resident while the `B` panels stream past it.
+#[allow(clippy::too_many_arguments)]
+fn direct_tiles<S: StorageScalar>(
+    m: usize,
+    n: usize,
+    k: usize,
     alpha: S::Acc,
-    a: &[S],
-    b: &[S],
+    pa: &[S::Acc],
+    pb: &[S::Acc],
     beta: S::Acc,
     c: &mut [S],
+    ldc: usize,
 ) {
-    match (desc.ty.ta, desc.ty.tb) {
-        (Trans::No, Trans::No) => direct_kernel::<S, false, false>(desc, alpha, a, b, beta, c),
-        (Trans::No, Trans::Yes) => direct_kernel::<S, false, true>(desc, alpha, a, b, beta, c),
-        (Trans::Yes, Trans::No) => direct_kernel::<S, true, false>(desc, alpha, a, b, beta, c),
-        (Trans::Yes, Trans::Yes) => direct_kernel::<S, true, true>(desc, alpha, a, b, beta, c),
+    let (mr, nr) = (S::Acc::MR, S::Acc::NR);
+    let mut tile = [S::Acc::ZERO; TILE_MAX];
+    let tile = &mut tile[..mr * nr];
+    for (it, ap) in pa.chunks_exact(mr * k).enumerate() {
+        let i0 = it * mr;
+        let rows = mr.min(m - i0);
+        for (jt, bp) in pb.chunks_exact(nr * k).enumerate() {
+            let j0 = jt * nr;
+            S::Acc::microkernel(k, ap, bp, tile);
+            for (j, acc) in tile.chunks_exact(mr).take(n - j0).enumerate() {
+                let col = &mut c[(j0 + j) * ldc + i0..];
+                // A full-height run gets a compile-time length.
+                if rows == mr {
+                    merge_run(alpha, acc, beta, &mut col[..mr]);
+                } else {
+                    merge_run(alpha, &acc[..rows], beta, &mut col[..rows]);
+                }
+            }
+        }
     }
 }
 
-/// The tiled kernel body, monomorphised per transpose pair so the inner
-/// loop indexing is branch-free.
-fn direct_kernel<S: StorageScalar, const TA: bool, const TB: bool>(
-    desc: &GemmBatch,
-    alpha: S::Acc,
-    a: &[S],
-    b: &[S],
-    beta: S::Acc,
-    c: &mut [S],
-) {
-    // The register tile is sized for the SIMD units the build targets
-    // (`target-cpu=native`): sixteen rows is one f32 AVX-512 vector (two
-    // AVX2 vectors, four NEON), and eight columns keeps the accumulator
-    // file inside the register budget for both f32 and f64 accumulation.
-    // Each accumulator lane is still one C element's ascending-p
-    // `mul_add` chain, so the result is bit-identical to the scalar
-    // reference — vectorisation happens *across* C elements, never
-    // inside one reduction.
-    const MR: usize = 16;
-    const NR: usize = 8;
-    let (m, n, k) = (desc.m, desc.n, desc.k);
-    let (lda, ldb, ldc) = (desc.lda, desc.ldb, desc.ldc);
-    // op(A)[i][p] / op(B)[p][j] against column-major storage.
-    let at = |i: usize, p: usize| -> S::Acc {
-        if TA {
-            a[i * lda + p].widen()
-        } else {
-            a[p * lda + i].widen()
-        }
-    };
-    let bt = |p: usize, j: usize| -> S::Acc {
-        if TB {
-            b[p * ldb + j].widen()
-        } else {
-            b[j * ldb + p].widen()
-        }
-    };
-
-    let mut j0 = 0;
-    while j0 < n {
-        let nr = NR.min(n - j0);
-        let mut i0 = 0;
-        while i0 < m {
-            let mr = MR.min(m - i0);
-            if mr == MR && nr == NR {
-                // acc[bj] holds C[i0..i0+MR, j0+bj]: the inner loops run
-                // over a contiguous 16-lane row strip, which LLVM lifts
-                // to vector FMAs.
-                let mut acc = [[S::Acc::ZERO; MR]; NR];
-                for p in 0..k {
-                    let mut av = [S::Acc::ZERO; MR];
-                    if TA {
-                        for (mi, v) in av.iter_mut().enumerate() {
-                            *v = a[(i0 + mi) * lda + p].widen();
-                        }
-                    } else {
-                        // Untransposed A: one contiguous column slice,
-                        // a single (pair of) vector load(s).
-                        let col = &a[p * lda + i0..p * lda + i0 + MR];
-                        for (mi, v) in av.iter_mut().enumerate() {
-                            *v = col[mi].widen();
-                        }
-                    }
-                    for (bj, arow) in acc.iter_mut().enumerate() {
-                        let bv = bt(p, j0 + bj);
-                        for (mi, cell) in arow.iter_mut().enumerate() {
-                            *cell = av[mi].mul_add(bv, *cell);
-                        }
-                    }
-                }
-                for (bj, arow) in acc.iter().enumerate() {
-                    let base = (j0 + bj) * ldc + i0;
-                    for (mi, &val) in arow.iter().enumerate() {
-                        let old = c[base + mi].widen();
-                        c[base + mi] = S::narrow(alpha.mul_add(val, beta * old));
-                    }
-                }
-            } else {
-                for jj in 0..nr {
-                    for ii in 0..mr {
-                        let mut acc = S::Acc::ZERO;
-                        for p in 0..k {
-                            acc = at(i0 + ii, p).mul_add(bt(p, j0 + jj), acc);
-                        }
-                        let idx = (j0 + jj) * ldc + i0 + ii;
-                        let old = c[idx].widen();
-                        c[idx] = S::narrow(alpha.mul_add(acc, beta * old));
-                    }
-                }
-            }
-            i0 += MR;
-        }
-        j0 += NR;
+/// `c ← narrow(α·acc + β·widen(c))` over one column run of a tile: the
+/// routine's merge arithmetic, applied once per cell.
+#[inline(always)]
+fn merge_run<S: StorageScalar>(alpha: S::Acc, acc: &[S::Acc], beta: S::Acc, c: &mut [S]) {
+    let mut wide = [S::Acc::ZERO; MR_MAX];
+    let wide = &mut wide[..c.len()];
+    S::widen_slice(c, wide);
+    for (old, &v) in wide.iter_mut().zip(acc) {
+        *old = alpha.mul_add(v, beta * *old);
     }
+    S::narrow_slice(wide, c);
 }
 
 #[cfg(test)]
@@ -708,34 +730,38 @@ mod tests {
     #[test]
     fn batch_workspace_reaches_steady_state() {
         let tg = tuned();
-        let desc = GemmBatch::packed(GemmType::NN, 8, 16, 16, 16);
         let mut a = vec![0f32; 8 * 16 * 16];
         let mut b = vec![0f32; 8 * 16 * 16];
         let mut c = vec![0f32; 8 * 16 * 16];
         fill(&mut a, 1);
         fill(&mut b, 2);
         fill(&mut c, 3);
-        let mut ws = BatchWorkspace::new();
-        let opts = BatchOptions {
-            force_path: Some(BatchPath::Packed),
-        };
-        tg.gemm_batch_with(&desc, 1.0, &a, &b, 0.5, &mut c, &mut ws, &opts)
-            .unwrap();
-        let grows = ws.grows();
-        assert!(grows > 0, "first packed batch must allocate staging");
-        for _ in 0..3 {
-            tg.gemm_batch_with(&desc, 1.0, &a, &b, 0.5, &mut c, &mut ws, &opts)
-                .unwrap();
+        // Both paths size their pools on the first call and never again:
+        // the packed arm for its staging, the direct arm for its panels
+        // (per-entry operands in the worker pools, a shared one in the
+        // shared pool).
+        for desc in [
+            GemmBatch::packed(GemmType::NN, 8, 16, 16, 16),
+            GemmBatch::packed(GemmType::TT, 8, 16, 16, 16).with_shared_a(),
+        ] {
+            for path in [BatchPath::Packed, BatchPath::Direct] {
+                let opts = BatchOptions {
+                    force_path: Some(path),
+                };
+                let mut ws = BatchWorkspace::new();
+                let run = tg
+                    .gemm_batch_with(&desc, 1.0, &a, &b, 0.5, &mut c, &mut ws, &opts)
+                    .unwrap();
+                assert_eq!(run.path, path);
+                let grows = ws.grows();
+                assert!(grows > 0, "first {path} batch must size its pools");
+                for _ in 0..3 {
+                    tg.gemm_batch_with(&desc, 1.0, &a, &b, 0.5, &mut c, &mut ws, &opts)
+                        .unwrap();
+                }
+                assert_eq!(ws.grows(), grows, "{path} steady state must not reallocate");
+            }
         }
-        assert_eq!(ws.grows(), grows, "steady state must not reallocate");
-
-        // The direct path never touches the workspace at all.
-        let mut ws2 = BatchWorkspace::new();
-        let run = tg
-            .gemm_batch(&desc, 1.0f32, &a, &b, 0.5, &mut c, &mut ws2)
-            .unwrap();
-        assert_eq!(run.path, BatchPath::Direct);
-        assert_eq!(ws2.grows(), 0);
     }
 
     #[test]

@@ -96,12 +96,11 @@ pub fn report(lab: &mut Lab) -> Report {
 
     rep.note(
         "The batched entry point amortises workspace acquisition, tile selection and shared-\
-         operand packs across the batch; below the crossover the direct register-tile kernel \
-         additionally skips all four O(N^2) copy passes.",
+         operand packs across the batch; below the crossover the direct path packs each operand \
+         once into microkernel panels and skips the paper-layout copies and the C staging.",
     );
     rep.note(
-        "f16/bf16 operands widen exactly to f32 on pack (or per load on the direct path) and \
-         narrow once with round-to-nearest-even on merge, so every storage type is bit-identical \
+        "f16/bf16 operands widen exactly to f32 once, on pack, on both paths and narrow once with round-to-nearest-even on merge, so every storage type is bit-identical \
          to computing on pre-widened matrices. Measured curves: BENCH_batched.json.",
     );
     rep

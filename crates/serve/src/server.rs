@@ -1846,6 +1846,47 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_batch_descriptor_is_an_error_not_a_panic() {
+        let mut server = two_device_server(ServeConfig {
+            registry: Some(Registry::new()),
+            ..Default::default()
+        });
+        // stride_a·(batch−1) + extent wraps to 1 in unchecked arithmetic,
+        // so a 16-element A slab would look long enough.
+        let mut desc = GemmBatch::packed(GemmType::NN, 2, 4, 4, 4);
+        desc.stride_a = usize::MAX - desc.a_extent() + 2;
+        let req = BatchedRequest::new(
+            desc,
+            BatchedPayload::F32 {
+                alpha: 1.0,
+                a: vec![1.0; 16],
+                b: vec![1.0; 32],
+                beta: 0.0,
+                c: vec![0.0; 32],
+            },
+        );
+        let err = server.run_batched(req).unwrap_err();
+        assert!(err.0.contains("overflows"), "{err}");
+        // The server is still usable afterwards.
+        let ok = GemmBatch::packed(GemmType::NN, 2, 4, 4, 4);
+        let req = BatchedRequest::new(
+            ok,
+            BatchedPayload::F32 {
+                alpha: 1.0,
+                a: vec![1.0; 32],
+                b: vec![1.0; 32],
+                beta: 0.0,
+                c: vec![0.0; 32],
+            },
+        );
+        let resp = server.run_batched(req).unwrap();
+        match &resp.payload {
+            BatchedPayload::F32 { c, .. } => assert!(c.iter().all(|&v| v == 4.0)),
+            _ => panic!("payload type must round-trip"),
+        }
+    }
+
+    #[test]
     fn repeated_batched_calls_reach_workspace_steady_state() {
         let mut server = two_device_server(ServeConfig {
             registry: Some(Registry::new()),

@@ -8,13 +8,20 @@
 //! accumulation) are uniform enough that stealing would buy nothing.
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 /// How many worker threads `jobs` uniform jobs should fan out to: one
 /// per core, never more than there are jobs, and at least one. Callers
 /// that pre-size per-worker state (e.g. batched-GEMM workspaces) use
 /// this to know the fan-out before spawning.
+///
+/// The core count is probed once per process: on Linux the probe reads
+/// the affinity mask and cgroup quota files (~20 µs), which would
+/// otherwise be paid on every parallel call.
 pub fn worker_count(jobs: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores =
+        *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get));
     cores.min(jobs).max(1)
 }
 

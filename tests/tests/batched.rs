@@ -5,10 +5,17 @@
 //! or per-entry operands, padded leading dimensions and strides, all
 //! four storage types, and both execution paths — the result is **bit
 //! identical** to a loop of single-GEMM routine calls over the widened
-//! entries. The direct kernel, the packed pipeline's convert-on-pack
-//! widening, and the padding introduced by blocking all preserve the
-//! canonical ascending-depth FMA chain per C element, so exact equality
-//! (not a tolerance) is the assertion throughout.
+//! entries. The direct path's panels and microkernel, the packed
+//! pipeline's tuned layouts, convert-on-pack widening, and the padding
+//! introduced by blocking all preserve the canonical ascending-depth FMA
+//! chain per C element, so exact equality (not a tolerance) is the
+//! assertion throughout.
+//!
+//! Operands carry full-mantissa values, so products and sums round: a
+//! kernel that reassociates a depth chain (split or tree-reduced
+//! accumulators) diverges in the last bits and fails. Shapes reach past
+//! two microkernel panels and are weighted toward the panel edges
+//! (`MR ± 1`, `NR ± 1`) and `k = 1`.
 //!
 //! Cases are drawn from a seeded [`clgemm_shim::Rng`], so failures
 //! reproduce deterministically.
@@ -18,6 +25,7 @@ use clgemm::params::small_test_params;
 use clgemm::routine::TunedGemm;
 use clgemm_blas::matrix::{Matrix, StorageOrder};
 use clgemm_blas::scalar::{Precision, Scalar, StorageScalar};
+use clgemm_blas::PanelScalar;
 use clgemm_blas::{BatchWorkspace, Bf16, GemmBatch, GemmType, WorkspaceScalar, F16};
 use clgemm_device::DeviceId;
 use clgemm_shim::Rng;
@@ -30,12 +38,28 @@ fn tuned() -> TunedGemm {
     )
 }
 
-/// Nonzero values on a 0.25 grid offset by 0.125: exactly representable
-/// in every storage type's accumulator and never a signed zero, so the
-/// padding lanes' trailing `fma(0, 0, acc)` terms are exact no-ops.
+/// Random magnitudes in [0.5, 2) of either sign, rounded to the storage
+/// type: every mantissa bit is live, so products and depth sums round,
+/// and no value is a (signed) zero, so the packed path's trailing
+/// `fma(0, 0, acc)` padding terms stay exact no-ops.
 fn fill<S: StorageScalar>(rng: &mut Rng, slab: &mut [S]) {
     for cell in slab.iter_mut() {
-        *cell = S::from_f64(rng.range(1, 17) as f64 * 0.25 - 2.125);
+        let v = 0.5 + rng.f64() * 1.5;
+        *cell = S::from_f64(if rng.bool() { v } else { -v });
+    }
+}
+
+/// Largest drawn dimension: past two `f32` panels (`2·MR = 64`).
+const MAX_DIM: usize = 70;
+
+/// One dimension: half the time a panel edge of the storage type's
+/// microkernel (`MR ± 1`, `NR ± 1`, `2·MR + 1`, 1), otherwise uniform.
+fn draw_dim(rng: &mut Rng, mr: usize, nr: usize) -> usize {
+    let edges = [1, nr - 1, nr, nr + 1, mr - 1, mr, mr + 1, 2 * mr + 1];
+    if rng.bool() {
+        *rng.choose(&edges).unwrap()
+    } else {
+        rng.range(1, MAX_DIM + 1)
     }
 }
 
@@ -56,12 +80,16 @@ struct Case {
     beta: f64,
 }
 
-fn draw_case(rng: &mut Rng) -> Case {
+fn draw_case<T: PanelScalar>(rng: &mut Rng) -> Case {
     let ty = *rng.choose(&GemmType::ALL).unwrap();
     let batch = *rng.choose(&[1usize, 2, 3, 5, 8, 16, 64]).unwrap();
-    let m = rng.range(1, 21);
-    let n = rng.range(1, 21);
-    let k = rng.range(1, 21);
+    let m = draw_dim(rng, T::MR, T::NR);
+    let n = draw_dim(rng, T::MR, T::NR);
+    let k = if rng.range(0, 4) == 0 {
+        1
+    } else {
+        draw_dim(rng, T::MR, T::NR)
+    };
     let mut desc = GemmBatch::packed(ty, batch, m, n, k);
     // Padded C rows and inter-entry gaps, sometimes.
     if rng.bool() {
@@ -177,7 +205,7 @@ fn batched_gemm_is_bit_exact_for_f32_storage() {
     let mut rng = Rng::new(0xBA7C_4ED0);
     let mut ws = BatchWorkspace::new();
     for _ in 0..40 {
-        let case = draw_case(&mut rng);
+        let case = draw_case::<f32>(&mut rng);
         check::<f32>(&tg, &case, &mut rng, &mut ws);
     }
 }
@@ -188,7 +216,7 @@ fn batched_gemm_is_bit_exact_for_f64_storage() {
     let mut rng = Rng::new(0xBA7C_4ED1);
     let mut ws = BatchWorkspace::new();
     for _ in 0..40 {
-        let case = draw_case(&mut rng);
+        let case = draw_case::<f64>(&mut rng);
         check::<f64>(&tg, &case, &mut rng, &mut ws);
     }
 }
@@ -199,7 +227,7 @@ fn batched_gemm_is_bit_exact_for_f16_storage() {
     let mut rng = Rng::new(0xBA7C_4ED2);
     let mut ws = BatchWorkspace::new();
     for _ in 0..40 {
-        let case = draw_case(&mut rng);
+        let case = draw_case::<f32>(&mut rng);
         let run = check::<F16>(&tg, &case, &mut rng, &mut ws);
         assert!(run.widened, "f16 storage must report convert-on-pack");
     }
@@ -211,7 +239,7 @@ fn batched_gemm_is_bit_exact_for_bf16_storage() {
     let mut rng = Rng::new(0xBA7C_4ED3);
     let mut ws = BatchWorkspace::new();
     for _ in 0..40 {
-        let case = draw_case(&mut rng);
+        let case = draw_case::<f32>(&mut rng);
         let run = check::<Bf16>(&tg, &case, &mut rng, &mut ws);
         assert!(run.widened);
     }
